@@ -3,7 +3,8 @@
 Four interchangeable solvers minimise the same convex piecewise-linear
 objective:
 
-- ``lp``: dense tableau simplex on the standard-form recasting;
+- ``lp``: simplex on the standard-form recasting, pivoting a narrow
+  tableau of width 2d+2 at O(m.d) per pivot;
 - ``brute``: exhaustive vertex evaluation, the ground-truth oracle for
   small problems;
 - ``locus_ternary`` / ``locus_quadrature``: a two-stage search that walks
@@ -30,7 +31,7 @@ from .linesearch import (
     weighted_median_min,
 )
 from .locus import LocusConfig, LocusPoint, locus_value, sample_locus, solve_locus
-from .lp import LpStandardForm, SimplexConfig, dump_lp, formulate, simplex_solve, solve_lp
+from .lp import LpStandardForm, SimplexConfig, dump_lp, formulate, solve_lp
 from .model import (
     Coefficients,
     Dataset,
@@ -72,7 +73,6 @@ __all__ = [
     "quadrature_min",
     "read_dataset_csv",
     "sample_locus",
-    "simplex_solve",
     "solve_brute",
     "solve_ccd",
     "solve_linear_system",

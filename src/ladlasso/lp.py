@@ -1,4 +1,4 @@
-"""Standard-form LP recasting of the objective and a dense tableau simplex.
+"""Standard-form LP recasting of the objective and a narrow-tableau simplex.
 
 Splitting each coefficient and each residual into nonnegative positive/
 negative parts turns the objective into a linear cost over 2d+2m nonnegative
@@ -13,15 +13,35 @@ solution min(bp_j, bn_j) = min(rp_i, rn_i) = 0 without extra constraints.
 Splitting the residuals by the sign of y also hands us a feasible starting
 basis for free, so no phase-1 is ever needed.
 
-The solver is a plain dense tableau (problem sizes here are tens of columns)
-using Dantzig pricing with a permanent switch to Bland's rule after a
-degenerate streak, which guarantees termination.
+The simplex uses Dantzig pricing with a permanent switch to Bland's rule
+after a degenerate streak, which guarantees termination; both the entering
+and the leaving tie-breaks go to the lowest variable index.  It pivots a
+narrow tableau of width 2d+2, so a pivot costs O(m.d) and memory is O(m.d):
+
+- The column of a pair's negative part (bn_j, rn_i) is always the negation
+  of its positive part's (bp_j, rp_i), so only the positive part's column is
+  stored, and the pivot negates it when the negative part enters.  Two price
+  rows hold the reduced costs of the positive and of the negative parts.
+- A basic residual has a unit column, and its partner's reduced cost stays
+  fixed near 2 while it is basic, so neither can ever enter.  Only the
+  residual pairs of active rows (rows whose residual is nonbasic) are stored.
+  There are at most d active rows, one per basic coefficient, so d+1 slots
+  (one spare for the row that turns active during a pivot) sit next to the d
+  coefficient pairs and the right-hand side.
+
+Each pivot applies to every stored number the same floating-point operations
+as the full (2d+2m+1)-wide tableau would, so pricing and the ratio test see
+the same values; only the starting prices may differ in the last bit, as BLAS
+may sum the narrower matrix in another order.  The solution is returned in
+the full 2d+2m space.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,13 +56,14 @@ class LpStandardForm:
     """min cost.v  s.t.  constraint_matrix @ v = rhs,  v >= 0.
 
     Column blocks, in order: bp (d), bn (d), rp (m), rn (m).  The originating
-    problem is kept so solutions can be mapped back and revalidated.
+    problem is kept so solutions can be mapped back and revalidated; the
+    solver reads the data from it directly.  The dense (m, 2d+2m) constraint
+    matrix and the variable names are derived from it on first access, for
+    export and structural checks.
     """
 
     cost: np.ndarray
-    constraint_matrix: np.ndarray
     rhs: np.ndarray
-    variable_names: tuple[str, ...]
     spec: ProblemSpec
 
     @property
@@ -52,6 +73,21 @@ class LpStandardForm:
     @property
     def m(self) -> int:
         return self.spec.m
+
+    @cached_property
+    def constraint_matrix(self) -> np.ndarray:
+        x, m = self.spec.data.x, self.m
+        return np.hstack([x, -x, np.eye(m), -np.eye(m)])
+
+    @cached_property
+    def variable_names(self) -> tuple[str, ...]:
+        d, m = self.d, self.m
+        return tuple(
+            [f"bp_{j}" for j in range(d)]
+            + [f"bn_{j}" for j in range(d)]
+            + [f"rp_{i}" for i in range(m)]
+            + [f"rn_{i}" for i in range(m)]
+        )
 
 
 @dataclass(frozen=True)
@@ -65,6 +101,8 @@ class SimplexConfig:
             raise InvalidInputError("max_pivots must be at least 1")
         if self.pivot_rule not in PIVOT_RULES:
             raise InvalidInputError(f"unknown pivot rule {self.pivot_rule!r}")
+        if not self.feasibility_tolerance >= 0:
+            raise InvalidInputError("feasibility_tolerance must be >= 0")
 
 
 @dataclass(eq=False)
@@ -81,18 +119,8 @@ class SimplexSolution:
 
 def formulate(spec: ProblemSpec) -> LpStandardForm:
     """Build the standard form for a problem."""
-    x, y = spec.data.x, spec.data.y
-    m, d = spec.m, spec.d
-    lam = spec.lambda_eff
-    cost = np.concatenate([np.full(2 * d, lam), np.ones(2 * m)])
-    matrix = np.hstack([x, -x, np.eye(m), -np.eye(m)])
-    names = (
-        [f"bp_{j}" for j in range(d)]
-        + [f"bn_{j}" for j in range(d)]
-        + [f"rp_{i}" for i in range(m)]
-        + [f"rn_{i}" for i in range(m)]
-    )
-    return LpStandardForm(cost, matrix, y.copy(), tuple(names), spec)
+    cost = np.concatenate([np.full(2 * spec.d, spec.lambda_eff), np.ones(2 * spec.m)])
+    return LpStandardForm(cost, spec.data.y.copy(), spec)
 
 
 def embed(lp: LpStandardForm, beta) -> np.ndarray:
@@ -117,75 +145,117 @@ def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> Si
     formulation cannot produce; treat it as a bug signal.
     """
     cfg = cfg or SimplexConfig()
-    a, b, c = lp.constraint_matrix, lp.rhs, lp.cost
-    m, n = a.shape
+    x, b, c = lp.spec.data.x, lp.rhs, lp.cost
+    m, d = x.shape
+    n = c.size
     tol = cfg.feasibility_tolerance
     max_pivots = cfg.max_pivots if cfg.max_pivots is not None else 50 * n
 
     basis = initial_basis(lp)
     sign = np.where(b >= 0, 1.0, -1.0)
-    tableau = np.empty((m + 1, n + 1))
-    tableau[:m, :n] = sign[:, None] * a
-    tableau[:m, n] = sign * b
+    # Column k holds the column of a positive part (bp_j for k < d, then the
+    # rp_i of active rows; the negative part's column is its negation) and the
+    # last column the right-hand side.  Row m holds the reduced costs of the
+    # positive parts, row m + 1 those of the negative parts and the objective;
+    # +inf prices an empty slot and pads row m, so the two price rows read as
+    # one contiguous vector.
+    width = 2 * d + 1
+    tableau = np.zeros((m + 2, width + 1))
+    tableau[:m, :d] = sign[:, None] * x
+    tableau[:m, width] = sign * b
+    rhs = tableau[:m, width]
     cb = c[basis]
-    tableau[m, :n] = c - cb @ tableau[:m, :n]
-    tableau[m, n] = -float(cb @ tableau[:m, n])
+    col_sums = cb @ tableau[:m, :d]
+    tableau[m, :d] = c[:d] - col_sums
+    tableau[m + 1, :d] = c[d : 2 * d] + col_sums
+    tableau[m:, d:] = math.inf
+    tableau[m + 1, width] = float(cb @ rhs)
+    prices = tableau.reshape(-1)[m * (width + 1) : (m + 2) * (width + 1) - 1]
+    # var[p] is the variable priced at prices[p]
+    var = list(range(d)) + [-1] * (d + 2) + list(range(d, 2 * d)) + [-1] * (d + 1)
+    free = list(range(width - 1, d - 1, -1))
+    # parked[i]: the reduced cost of row i's nonbasic residual while the row is
+    # inactive; its column is minus a unit vector, so pivots elsewhere leave it be
+    parked = c[2 * d : 2 * d + m] + c[2 * d + m :]
 
     bland = cfg.pivot_rule == "bland"
     degenerate_streak = 0
     pivots = 0
     converged = False
-    trace = [-float(tableau[m, n])]
+    trace = [float(tableau[m + 1, width])]
     while pivots < max_pivots:
-        reduced = tableau[m, :n]
+        # the variables without a price here are basic residuals (price 0) and
+        # their partners (price near 2), so none of them could enter
+        values = prices.tolist()
         if bland:
-            candidates = np.flatnonzero(reduced < -tol)
-            if candidates.size == 0:
-                converged = True
-                break
-            col = int(candidates[0])
+            candidates = [q for q, v in enumerate(values) if v < -tol]
         else:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -tol:
-                converged = True
-                break
-        pivot_col = tableau[:m, col]
-        eligible = pivot_col > tol
-        if not eligible.any():
-            raise SimplexError("unbounded direction in a formulation that cannot be unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[eligible] = tableau[:m, n][eligible] / pivot_col[eligible]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
-        row = int(ties[np.argmin(basis[ties])])  # Bland-style leaving tie-break
+            low = min(values)
+            candidates = [q for q, v in enumerate(values) if v == low] if low < -tol else []
+        if not candidates:
+            converged = True
+            break
+        p = min(candidates, key=var.__getitem__)
+        col = var[p]
+        cv = values[p]
+        k = p % (width + 1)
+        negative = p > width
+        pivot_col = -tableau[:m, k] if negative else tableau[:m, k]
 
-        piv = tableau[row, col]
-        tableau[row] /= piv
-        col_vals = tableau[:, col].copy()
+        eligible = (pivot_col > tol).nonzero()[0]
+        if len(eligible) == 0:
+            raise SimplexError("unbounded direction in a formulation that cannot be unbounded")
+        ratios = rhs[eligible] / pivot_col[eligible]
+        best = float(ratios[ratios.argmin()])
+        ties = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        row = int(ties[0]) if len(ties) == 1 else int(ties[basis[ties].argmin()])
+
+        leaving = int(basis[row])
+        if leaving >= 2 * d:  # the row turns active: its residual pair takes a free slot
+            f = free.pop()
+            i = (leaving - 2 * d) % m
+            if leaving == 2 * d + i:
+                tableau[row, f] = 1.0
+                prices[f], prices[f + width + 1] = 0.0, parked[i]
+            else:
+                tableau[row, f] = -1.0
+                prices[f], prices[f + width + 1] = parked[i], 0.0
+            var[f], var[f + width + 1] = 2 * d + i, 2 * d + m + i
+
+        tableau[row] /= pivot_col[row]
+        col_vals = -tableau[:, k] if negative else tableau[:, k].copy()
         col_vals[row] = 0.0
-        tableau -= np.outer(col_vals, tableau[row])
-        tableau[:, col] = 0.0
-        tableau[row, col] = 1.0
+        col_vals[m], col_vals[m + 1] = cv, -cv  # a negative part's column is negated
+        # this leaves column k exactly +-e_row and the entering price exactly 0
+        tableau -= col_vals[:, None] * tableau[row]
+        if col >= 2 * d:  # a basic residual keeps no column; its partner's price parks
+            parked[(col - 2 * d) % m] = tableau[m if negative else m + 1, k]
+            tableau[:m, k] = 0.0
+            tableau[m:, k] = math.inf
+            free.append(k)
         basis[row] = col
         pivots += 1
-        trace.append(-float(tableau[m, n]))
+        trace.append(float(tableau[m + 1, width]))
 
         degenerate_streak = degenerate_streak + 1 if best <= tol else 0
         if not bland and degenerate_streak >= n:
             bland = True
 
-    x = np.zeros(n)
-    x[basis] = tableau[:m, n]
-    return SimplexSolution(x, float(c @ x), pivots, converged, basis.copy(), trace)
+    full = np.zeros(n)
+    full[basis] = rhs
+    return SimplexSolution(full, float(c @ full), pivots, converged, basis, trace)
 
 
-def simplex_solve(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> SolveResult:
-    """Solve the LP and map back to coefficients, revalidating the objective."""
+def solve_lp(spec: ProblemSpec, cfg: SimplexConfig | None = None) -> SolveResult:
+    """Formulate, solve and map back to coefficients, revalidating the objective.
+
+    The reported wall time includes the formulation.
+    """
     t0 = time.perf_counter()
-    sol = simplex_minimize(lp, cfg)
-    d = lp.d
+    sol = simplex_minimize(formulate(spec), cfg)
+    d = spec.d
     beta = sol.x[:d] - sol.x[d : 2 * d]
-    objective = evaluate_objective(lp.spec, beta)
+    objective = evaluate_objective(spec, beta)
     if sol.converged and abs(objective - sol.objective) > 1e-9 * max(1.0, abs(objective)):
         raise SimplexError(
             f"LP optimum {sol.objective!r} does not reproduce the objective {objective!r}"
@@ -198,21 +268,6 @@ def simplex_solve(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> Solve
         objective_evals=1,
         wall_time=time.perf_counter() - t0,
         converged=sol.converged,
-    )
-
-
-def solve_lp(spec: ProblemSpec, cfg: SimplexConfig | None = None) -> SolveResult:
-    """Formulate and solve; the reported wall time includes the formulation."""
-    t0 = time.perf_counter()
-    result = simplex_solve(formulate(spec), cfg)
-    return SolveResult(
-        beta=result.beta,
-        objective=result.objective,
-        solver_id="lp",
-        iterations=result.iterations,
-        objective_evals=result.objective_evals,
-        wall_time=time.perf_counter() - t0,
-        converged=result.converged,
     )
 
 
@@ -235,7 +290,7 @@ def dump_lp(lp: LpStandardForm, path) -> None:
     def row(values) -> str:
         return " ".join(num.format(v) for v in values)
 
-    m = lp.constraint_matrix.shape[0]
+    m = lp.m
     lines = [
         "LADLASSO-LP 1",
         f"vars {lp.cost.size} rows {m}",

@@ -1,16 +1,20 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ladlasso.brute import solve_brute
+from ladlasso.datagen import GenSpec, generate
 from ladlasso.errors import InvalidInputError
 from ladlasso.lp import (
+    PIVOT_RULES,
     SimplexConfig,
     dump_lp,
     embed,
     formulate,
     initial_basis,
     simplex_minimize,
-    simplex_solve,
     solve_lp,
 )
 from ladlasso.model import evaluate_objective
@@ -110,7 +114,7 @@ def test_bland_rule_reaches_same_objective():
 
 def test_pivot_budget_flags_non_convergence():
     spec = make_problem(seed=35, d=3, m=10, lam=0.1)
-    res = simplex_solve(formulate(spec), SimplexConfig(max_pivots=1))
+    res = solve_lp(spec, SimplexConfig(max_pivots=1))
     assert not res.converged
 
 
@@ -125,13 +129,12 @@ def test_unbounded_direction_is_an_internal_error():
     # a hand-corrupted cost row makes a coefficient column profitable forever;
     # a well-formed formulation can never do this
     from ladlasso.errors import SimplexError
-    from ladlasso.lp import LpStandardForm
 
     spec = tiny_problem([[1.0]], [2.0], 0.5)
     lp = formulate(spec)
     cost = lp.cost.copy()
     cost[:2] = -1.0
-    broken = LpStandardForm(cost, lp.constraint_matrix, lp.rhs, lp.variable_names, spec)
+    broken = dataclasses.replace(lp, cost=cost)
     with pytest.raises(SimplexError):
         simplex_minimize(broken)
 
@@ -176,3 +179,98 @@ def test_dump_layout(tmp_path):
     row = lines[6].split()
     assert row[-2] == "="
     assert float(row[-1]) == 3.0
+
+
+def _assert_complementary(sol, d, m):
+    bp, bn = sol.x[:d], sol.x[d : 2 * d]
+    rp, rn = sol.x[2 * d : 2 * d + m], sol.x[2 * d + m :]
+    assert np.minimum(bp, bn).max() <= 1e-9
+    assert np.minimum(rp, rn).max() <= 1e-9
+
+
+# (seed, d, m, pivot rule, pivots, objective) as the full-width dense tableau
+# produced them; a drift in pricing or in a tie-break changes the pivot count
+PINNED_PIVOT_SEQUENCES = [
+    (41, 3, 12, "dantzig_with_bland_fallback", 10, 41.73810886196885),
+    (42, 5, 200, "dantzig_with_bland_fallback", 117, 454.0286665176941),
+    (43, 5, 400, "dantzig_with_bland_fallback", 265, 874.7759237365002),
+    (44, 5, 200, "bland", 463, 449.97922039363345),
+]
+
+
+@pytest.mark.parametrize("seed,d,m,rule,pivots,objective", PINNED_PIVOT_SEQUENCES)
+def test_pivot_sequence_is_pinned(seed, d, m, rule, pivots, objective):
+    spec = make_problem(seed=seed, d=d, m=m, lam=0.1)
+    sol = simplex_minimize(formulate(spec), SimplexConfig(pivot_rule=rule))
+    assert sol.converged
+    assert sol.pivots == pivots
+    assert sol.objective == pytest.approx(objective, rel=1e-12)
+
+
+def test_leaving_ties_are_pinned():
+    # every row twice: the twins tie in the ratio test, and the row whose basic
+    # variable has the lowest index leaves; the final basis records each choice
+    data, _ = generate(GenSpec(m=12, d=3, noise_sigma=1.0, outlier_fraction=0.2, seed=0))
+    x, y = data.x.copy(), data.y.copy()
+    x[6:], y[6:] = x[:6], y[:6]
+    sol = simplex_minimize(formulate(tiny_problem(x, y, 0.1)))
+    assert sol.converged
+    assert sol.pivots == 9
+    assert sol.basis.tolist() == [2, 14, 1, 13, 22, 0, 12, 7, 6, 15, 28, 11]
+    assert sol.objective == pytest.approx(5.262172293653451, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+def test_exact_price_ties_zero_and_duplicate_columns(lam):
+    # a zero column prices both its halves at lambda; a duplicated column prices
+    # exactly like its twin, so the entering choice rests on the index tie-break
+    data, _ = generate(GenSpec(m=8, d=3, noise_sigma=1.0, outlier_fraction=0.2, seed=3))
+    x = data.x.copy()
+    x[:, 1] = 0.0
+    x[:, 2] = x[:, 0]
+    spec = tiny_problem(x, data.y, lam)
+    reference = solve_brute(spec)
+    for rule in PIVOT_RULES:
+        sol = simplex_minimize(formulate(spec), SimplexConfig(pivot_rule=rule))
+        assert sol.converged
+        assert rel_gap(sol.objective, reference.objective) < 1e-9
+        _assert_complementary(sol, spec.d, spec.m)
+        # the lower-indexed twin wins every tie, so the duplicate never enters
+        assert sol.x[2] == sol.x[5] == 0.0
+
+
+
+@pytest.mark.parametrize("m", [100, 1000])
+def test_agrees_with_external_solver_at_scale(m):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    sparse = pytest.importorskip("scipy.sparse")
+    spec = make_problem(seed=60 + m, d=5, m=m, lam=0.1)
+    lp = formulate(spec)
+    sol = simplex_minimize(lp)
+    assert sol.converged
+    _assert_complementary(sol, spec.d, m)
+
+    x = sparse.csr_matrix(spec.data.x)
+    eye = sparse.identity(m, format="csr")
+    a_eq = sparse.hstack([x, -x, eye, -eye], format="csr")
+    external = linprog(lp.cost, A_eq=a_eq, b_eq=lp.rhs, bounds=(0, None), method="highs")
+    assert external.status == 0
+    assert rel_gap(sol.objective, external.fun) < 1e-9
+
+
+def test_memory_stays_linear_in_rows():
+    # the full-width tableau alone would be 2001 x 4011 doubles, about 64 MB
+    spec = make_problem(seed=70, d=5, m=2000, lam=0.1)
+    tracemalloc.start()
+    try:
+        res = solve_lp(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_negative_tolerance_is_rejected():
+    with pytest.raises(InvalidInputError):
+        SimplexConfig(feasibility_tolerance=-1e-9)
