@@ -22,6 +22,17 @@ lower.  The stopping rule is unchanged, so a converged descent still ends on
 a full sweep without gain.  Only the locus search's probe descents take line
 steps; ``solve_ccd`` (the ``ccd_plain`` solver) and ``sample_locus`` stay
 plain cyclical descent.
+
+Every coordinate update is one weighted median of the axis's breakpoints.
+Between sweeps the breakpoints move only a little, so each descent keeps,
+per free axis, the permutation that sorted them last time: the update
+gathers the breakpoints in that order and sorts them again with the same
+stable sort, which on nearly sorted input (numpy's timsort) runs in about
+linear time.  The first update of an axis starts from the identity, which is
+exactly a sort from scratch.  With distinct breakpoints the sorted order is
+unique, so the minimiser is the one a sort from scratch finds; among exactly
+tied breakpoints only the order in which their weights are summed can
+differ, which can move the cumulative weight by its last bit.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from .linesearch import (
     quadrature_min,
     ternary_min,
     weighted_median_min,
+    weighted_median_sorted,
 )
 from .model import (
     Coefficients,
@@ -93,26 +105,30 @@ def _axis_pwl(x, y_minus_xb, b, lam, j):
     return PiecewiseLinear1D(locations, weights, constant)
 
 
-def _median_location(locations: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted-median minimiser on raw arrays; same tie rule as the oracle."""
-    order = locations.argsort(kind="stable")
-    slocs = locations[order]
-    cum = weights[order].cumsum()
-    total = cum[-1]
-    half = 0.5 * total
-    k = int(cum.searchsorted(half))
-    if k + 1 < slocs.size and abs(cum[k] - half) <= 1e-12 * total:
-        return 0.5 * (slocs[k] + slocs[k + 1])
-    return float(slocs[min(k, slocs.size - 1)])
+def _warm_median(locations: np.ndarray, weights: np.ndarray, order: np.ndarray):
+    """Weighted-median minimiser of the breakpoints, sorted from a warm order.
+
+    ``order`` is the permutation that sorted the breakpoints last time (the
+    identity at first).  Gathering them in that order leaves them nearly
+    sorted, and the stable sort finishes the job.  Returns the minimiser and
+    the permutation that sorts the breakpoints now.
+    """
+    warm = locations[order]
+    perm = warm.argsort(kind="stable")
+    order = order[perm]
+    return weighted_median_sorted(warm[perm], weights[order].cumsum()), order
 
 
 class _AxisWorkspace:
     """Constant structure of one axis: its column, nonzero rows and weights.
 
-    Holds no scratch state, so one table serves every descent on a problem.
+    ``identity`` is the read-only starting order of the axis's breakpoints
+    (nonzero rows, then the penalty's).  Each descent keeps its own warm
+    order per axis, starting from it, so the workspace holds no scratch
+    state and one table serves every descent on a problem.
     """
 
-    __slots__ = ("col", "dense", "nz_idx", "col_nz", "zero_idx", "weights")
+    __slots__ = ("col", "dense", "nz_idx", "col_nz", "zero_idx", "weights", "identity")
 
     def __init__(self, col: np.ndarray, lam: float):
         self.col = np.ascontiguousarray(col)
@@ -124,6 +140,8 @@ class _AxisWorkspace:
         self.weights = np.empty(k + 1)
         self.weights[:k] = np.abs(self.col_nz)
         self.weights[k] = lam
+        self.identity = np.arange(k + 1)
+        self.identity.setflags(write=False)
 
 
 def _axis_workspaces(spec: ProblemSpec) -> tuple[_AxisWorkspace, ...]:
@@ -151,10 +169,10 @@ def _line_step(x, y, lam, b, residual, v):
     xv = x @ v
     rows = xv != 0.0
     moving = v != 0.0
-    s = _median_location(
-        np.concatenate((residual[rows] / xv[rows], -b[moving] / v[moving])),
-        np.concatenate((np.abs(xv[rows]), lam * np.abs(v[moving]))),
-    )
+    locations = np.concatenate((residual[rows] / xv[rows], -b[moving] / v[moving]))
+    weights = np.concatenate((np.abs(xv[rows]), lam * np.abs(v[moving])))
+    order = locations.argsort(kind="stable")
+    s = weighted_median_sorted(locations[order], weights[order].cumsum())
     b_new = b + s * v
     r_new = y - x @ b_new
     return b_new, r_new, float(np.abs(r_new).sum() + lam * np.abs(b_new).sum())
@@ -202,9 +220,11 @@ def ccd_descend(
     axes = [j for j in range(spec.d) if j != cfg.frozen_axis]
     if exact:
         work = _axis_workspaces(spec)
-        # scratch breakpoints, private to this descent; the penalty's stays at 0
+        # scratch breakpoints and warm sort orders, private to this descent;
+        # the penalty's breakpoint stays at 0
         locations = [np.zeros(ws.weights.size) for ws in work]
         heads = [locs[:-1] for locs in locations]
+        orders = [ws.identity for ws in work]
     evals = 0
     sweeps = 0
     converged = False
@@ -224,7 +244,7 @@ def ccd_descend(
                     head += bj
                 else:
                     np.divide(residual[ws.nz_idx] + ws.col_nz * bj, ws.col_nz, out=head)
-                t_new = _median_location(locs, ws.weights)
+                t_new, orders[j] = _warm_median(locs, ws.weights, orders[j])
                 evals += 1
                 if abs(t_new - bj) <= 1e-14 * (1.0 + abs(bj)):
                     # already at this axis' minimiser (up to residual rounding)

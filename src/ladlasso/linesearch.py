@@ -5,13 +5,16 @@ A function of the form
     g(t) = constant + sum_k weight_k * |t - location_k|
 
 is convex and attains its minimum at a weighted median of the breakpoint
-locations; ``weighted_median_min`` computes that exactly.  When only an
-evaluator is available two bracket searches are provided: ``ternary_min``
-(two interior probes, bracket shrinks by one third per round) and
-``quadrature_min`` (a fixed interior grid of probes per round, so the work
-per round is constant and data independent - the control-flow shape that
-maps onto wide SIMD hardware without reductions).  ``expand_bracket`` grows
-a bracket until it provably contains a minimum of a convex evaluator.
+locations; ``weighted_median_min`` computes that exactly.  Its rule, the
+half-weight crossing with the midpoint of a flat segment, lives in
+``weighted_median_sorted``, which the coordinate descent's kernels call too.
+When only an evaluator is available two bracket searches are provided:
+``ternary_min`` (two interior probes, bracket shrinks by one third per
+round) and ``quadrature_min`` (a fixed interior grid of probes per round, so
+the work per round is constant and data independent - the control-flow
+shape that maps onto wide SIMD hardware without reductions).
+``expand_bracket`` grows a bracket until it provably contains a minimum of a
+convex evaluator.
 """
 
 from __future__ import annotations
@@ -130,27 +133,33 @@ class SearchResult:
     bracket: Bracket
 
 
-def weighted_median_min(g: PiecewiseLinear1D) -> tuple[float, float]:
-    """Exact minimiser of a convex piecewise-linear function.
+def weighted_median_sorted(locations: np.ndarray, cumulative: np.ndarray) -> float:
+    """Weighted-median minimiser from sorted locations and their cumulative weights.
 
-    Returns the first breakpoint (in location order) where the cumulative
-    weight reaches half the total; if it hits one half exactly the minimum is
-    flat between two breakpoints and the midpoint of that segment is returned.
+    Returns the first location where the cumulative weight reaches half the
+    total (the last entry); if it hits one half exactly the minimum is flat
+    between two breakpoints and the midpoint of that segment is returned.
+    """
+    total = cumulative[-1]
+    half = 0.5 * total
+    k = int(cumulative.searchsorted(half))
+    if k + 1 < locations.size and abs(cumulative[k] - half) <= 1e-12 * total:
+        return 0.5 * (locations[k] + locations[k + 1])
+    return float(locations[min(k, locations.size - 1)])
+
+
+def weighted_median_min(g: PiecewiseLinear1D) -> tuple[float, float]:
+    """Exact minimiser of a convex piecewise-linear function, and its value.
+
+    The minimiser is ``weighted_median_sorted`` of the breakpoints in stable
+    location order.
     """
     if g.locations.size == 0:
         raise DegenerateInputError("need at least one breakpoint")
-    total = g.total_weight
-    if total <= 0.0:
+    if g.total_weight <= 0.0:
         raise DegenerateInputError("total breakpoint weight must be positive")
-    order = np.argsort(g.locations, kind="stable")
-    locs = g.locations[order]
-    cum = np.cumsum(g.weights[order])
-    half = 0.5 * total
-    k = int(np.searchsorted(cum, half))
-    if k + 1 < locs.size and abs(cum[k] - half) <= 1e-12 * total:
-        t_star = 0.5 * (locs[k] + locs[k + 1])
-    else:
-        t_star = float(locs[min(k, locs.size - 1)])
+    order = g.locations.argsort(kind="stable")
+    t_star = weighted_median_sorted(g.locations[order], g.weights[order].cumsum())
     return t_star, g(t_star)
 
 

@@ -20,6 +20,7 @@ empirically.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -117,9 +118,11 @@ def locus_value(
     if not 0 <= axis < spec.d:
         raise InvalidInputError(f"axis {axis} out of range for d={spec.d}")
     inner = inner or CcdConfig()
+    if inner.frozen_axis != axis:
+        inner = replace(inner, frozen_axis=axis)
     start = warm.beta.copy() if warm is not None else np.zeros(spec.d)
     start[axis] = t
-    res = ccd_descend(spec, Coefficients(start), replace(inner, frozen_axis=axis))
+    res = ccd_descend(spec, Coefficients(start), inner)
     return LocusPoint(t, res.beta, res.objective, res.converged, res.objective_evals)
 
 
@@ -170,6 +173,10 @@ class _CurveEvaluator:
     without gain, so probe points stay axis-wise minima of the subspace.
     ``sample_locus`` and the final polish of ``solve_locus`` use the
     configured inner descent as given, which by default takes no line steps.
+
+    ``remember`` records a probe point; ``seen`` lists them in the order seen,
+    and the distinct probe coordinates are also kept sorted, so the nearest
+    one is a bisection away.
     """
 
     def __init__(self, spec: ProblemSpec, axis: int, inner: CcdConfig):
@@ -180,7 +187,7 @@ class _CurveEvaluator:
         # configured tolerance (the budget only truncates geometric zig-zags,
         # which the line steps mostly cut short before it is reached)
         self.economy = spec.d > 3
-        inner = replace(inner, line_steps=True)
+        inner = replace(inner, frozen_axis=axis, line_steps=True)
         self.inner = (
             replace(inner, max_sweeps=min(inner.max_sweeps, 150)) if self.economy else inner
         )
@@ -191,14 +198,40 @@ class _CurveEvaluator:
         )
         self.refine_margin_scale = 1e-4 if self.economy else 1e-3
         self.seen: list[LocusPoint] = []
+        # distinct probe coordinates, ascending, each with its first-seen point
+        self._ts: list[float] = []
+        self._firsts: list[int] = []
         self.calls = 0
         self.inner_failures = 0
         self.best: LocusPoint | None = None
 
+    def remember(self, pt: LocusPoint) -> None:
+        ts = self._ts
+        i = bisect_left(ts, pt.t)
+        if i == len(ts) or ts[i] != pt.t:
+            ts.insert(i, pt.t)
+            self._firsts.insert(i, len(self.seen))
+        self.seen.append(pt)
+
     def _nearest(self, t: float) -> Coefficients | None:
-        if not self.seen:
+        """The closest point seen; among equal distances the first one seen."""
+        ts = self._ts
+        if not ts:
             return None
-        return min(self.seen, key=lambda pt: abs(pt.t - t)).beta
+        i = bisect_left(ts, t)
+        near = min(abs(ts[k] - t) for k in (i - 1, i) if 0 <= k < len(ts))
+        # rounded distances are monotone away from t, so every point at the
+        # nearest distance sits in one run on either side of i
+        first = len(self.seen)
+        k = i - 1
+        while k >= 0 and abs(ts[k] - t) == near:
+            first = min(first, self._firsts[k])
+            k -= 1
+        k = i
+        while k < len(ts) and abs(ts[k] - t) == near:
+            first = min(first, self._firsts[k])
+            k += 1
+        return self.seen[first].beta
 
     def __call__(self, t: float) -> float:
         warm = self._nearest(t)
@@ -219,7 +252,7 @@ class _CurveEvaluator:
                 pt = refined
         self.calls += 1
         self.inner_failures += 0 if pt.inner_converged else 1
-        self.seen.append(pt)
+        self.remember(pt)
         if self.best is None or pt.value < self.best.value:
             self.best = pt
         return pt.value
@@ -285,7 +318,7 @@ def _dense_refine(
     with branches the chained warm starts cannot reach.
     """
     curve = _CurveEvaluator(spec, axis, cfg.inner)
-    curve.seen.append(incumbent)
+    curve.remember(incumbent)
     curve.best = incumbent
     margin = curve.refine_margin_scale * max(1.0, abs(incumbent.value))
     for start in _start_fan(incumbent, axis, fan):
@@ -295,7 +328,7 @@ def _dense_refine(
             if refined.value < pt.value:
                 pt = refined
         curve.calls += 1
-        curve.seen.append(pt)
+        curve.remember(pt)
         if pt.value < curve.best.value:
             curve.best = pt
     w = width

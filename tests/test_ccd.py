@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladlasso.brute import solve_brute
-from ladlasso.ccd import CcdConfig, ccd_descend, is_axiswise_minimum, perturb_restart, solve_ccd
+from ladlasso.ccd import (
+    CcdConfig,
+    _warm_median,
+    ccd_descend,
+    is_axiswise_minimum,
+    perturb_restart,
+    solve_ccd,
+)
 from ladlasso.fixtures import CCD_STALL_GEN, CCD_STALL_LAMBDA, ccd_stall_problem
-from ladlasso.linesearch import weighted_median_min
+from ladlasso.linesearch import PiecewiseLinear1D, weighted_median_min, weighted_median_sorted
 from ladlasso.model import Coefficients, axis_restriction, evaluate_objective
 from util import make_problem, rel_gap, tiny_problem
 
@@ -170,3 +179,40 @@ def test_interleaved_problems_match_separate_runs():
         interleaved[0] += fingerprint(descend(first))
         interleaved[1] += fingerprint(descend(second))
     assert interleaved == alone
+
+
+# small integers tie often; the floats keep most draws distinct
+breakpoint_location = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30))
+def test_warm_median_matches_a_cold_sort(data, n):
+    locations = np.array(data.draw(st.lists(breakpoint_location, min_size=n, max_size=n)))
+    weights = np.array(data.draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+    warm_order = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+
+    t_warm, order = _warm_median(locations, weights, warm_order)
+    cold = locations.argsort(kind="stable")
+    t_cold = weighted_median_sorted(locations[cold], weights[cold].cumsum())
+
+    assert sorted(order.tolist()) == list(range(n))
+    assert (np.diff(locations[order]) >= 0.0).all()
+    if np.unique(locations).size == n:
+        assert order.tolist() == cold.tolist()
+        assert t_warm == t_cold
+    else:
+        g = PiecewiseLinear1D(locations, weights)
+        assert g(t_warm) == pytest.approx(g(t_cold), rel=1e-12)
+
+
+def test_frozen_line_step_descent_is_pinned():
+    # a noisy tall problem, so every sweep re-sorts 401 breakpoints per axis
+    # from the previous sweep's order; recorded with sorts from scratch
+    spec = make_problem(seed=2, d=5, m=400, lam=0.1)
+    start = Coefficients(np.array([2.0, 0.0, 0.0, 0.0, 0.0]))
+    res = ccd_descend(spec, start, CcdConfig(frozen_axis=0, line_steps=True))
+    assert res.converged
+    assert res.objective == pytest.approx(1278.3967372511438, rel=1e-12)
+    assert res.iterations == 12
+    assert res.objective_evals == 51

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from ladlasso.brute import solve_brute
-from ladlasso.ccd import is_axiswise_minimum, solve_ccd
+from ladlasso.ccd import CcdConfig, is_axiswise_minimum, solve_ccd
 from ladlasso.fixtures import ccd_stall_problem
 from ladlasso.linesearch import Bracket, weighted_median_min
 from ladlasso.locus import (
     LocusConfig,
+    LocusPoint,
+    _CurveEvaluator,
     axes_by_influence,
     default_outer_axis,
     locus_value,
     sample_locus,
     solve_locus,
 )
-from ladlasso.model import axis_restriction
+from ladlasso.model import Coefficients, axis_restriction
 from util import make_problem, rel_gap
 
 
@@ -143,3 +145,32 @@ class TestSampleLocus:
             steps = np.diff(path)
             slack = 1e-6 * (1 + np.abs(path).max())
             assert (steps >= -slack).all() or (steps <= slack).all()
+
+
+def test_nearest_probe_prefers_the_first_seen_on_equal_distance():
+    spec = make_problem(seed=3, d=2, m=6, lam=0.1)
+    curve = _CurveEvaluator(spec, 0, CcdConfig())
+
+    def probe(t, tag):
+        pt = LocusPoint(t, Coefficients(np.array([t, tag])), 0.0, True, 0)
+        curve.remember(pt)
+
+    assert curve._nearest(0.0) is None
+    probe(1.0, 0.0)
+    probe(-1.0, 1.0)
+    probe(1.0, 2.0)  # a duplicate coordinate never displaces the first
+    probe(3.0, 3.0)
+
+    def tag(t):
+        return curve._nearest(t).beta[1]
+
+    assert tag(0.0) == 0.0  # equidistant neighbours: 1.0 was seen before -1.0
+    assert tag(2.0) == 0.0  # between 1.0 and 3.0
+    assert tag(-0.5) == 1.0
+    assert tag(2.5) == 3.0
+    assert tag(1.0) == 0.0
+    assert tag(-7.0) == 1.0
+    assert [pt.beta.beta[1] for pt in curve.seen] == [0.0, 1.0, 2.0, 3.0]
+    for t in np.linspace(-4.0, 4.0, 33):
+        expected = min(curve.seen, key=lambda pt: abs(pt.t - t)).beta
+        assert curve._nearest(float(t)) is expected
