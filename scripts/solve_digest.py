@@ -38,19 +38,18 @@ from ladlasso import cli  # noqa: E402
 from ladlasso.datagen import GenSpec, generate  # noqa: E402
 from ladlasso.model import ProblemSpec  # noqa: E402
 
-NOISY = dict(noise_sigma=1.0, outlier_fraction=0.2)
-
 
 def oracle_instances(n: int):
-    """(d, m, lambda, seed) of the acceptance tests' oracle sweep."""
+    """(d, m, lambda, seed, noise settings) of the acceptance tests' oracle sweep."""
     grid = list(itertools.product((1, 2, 3), range(4, 13), (0.01, 0.1, 1.0)))
+    noisy = dict(noise_sigma=1.0, outlier_fraction=0.2)
     for i in range(n):
         d, m, lam = grid[i % len(grid)]
-        yield d, m, lam, 9000 + i, NOISY
+        yield d, m, lam, 9000 + i, noisy
 
 
 def pool_instances(name: str, seed: int, rounds: int | None):
-    """(d, m, lambda, seed) of a benchmark workload's instance pool."""
+    """(d, m, lambda, seed, noise settings) of a benchmark workload's instance pool."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS, instance_pool
 
