@@ -9,12 +9,10 @@ results bit-identical.
 
 Instances come from one of two grids:
 
-- ``--oracle N`` (the default, N=200): the brute-force oracle sweep of the
-  acceptance tests, noisy d 1-3, m 4-12, lambda 0.01/0.1/1, generator seeds
-  9000+i;
+- by default, the 200-instance brute-force oracle sweep of the acceptance
+  tests (``ladlasso.fixtures.oracle_grid``);
 - ``--pool WORKLOAD:SEED``: the instance pool ``perfbench/run.py`` draws for
-  that workload and seed (``--rounds`` rounds, default as many as a 48 s run
-  solves).
+  that workload and seed, as many rounds as a 48 s run solves.
 
 Solvers run through ``cli.run_solver`` with the command line's defaults.
 
@@ -26,7 +24,6 @@ Usage, from the repository root:
 
 import argparse
 import hashlib
-import itertools
 import struct
 import sys
 from pathlib import Path
@@ -36,50 +33,45 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ladlasso import cli  # noqa: E402
 from ladlasso.datagen import GenSpec, generate  # noqa: E402
+from ladlasso.fixtures import oracle_grid  # noqa: E402
 from ladlasso.model import ProblemSpec  # noqa: E402
 
 
-def oracle_instances(n: int):
-    """(d, m, lambda, seed, noise settings) of the acceptance tests' oracle sweep."""
-    grid = list(itertools.product((1, 2, 3), range(4, 13), (0.01, 0.1, 1.0)))
-    noisy = dict(noise_sigma=1.0, outlier_fraction=0.2)
-    for i in range(n):
-        d, m, lam = grid[i % len(grid)]
-        yield d, m, lam, 9000 + i, noisy
-
-
-def pool_instances(name: str, seed: int, rounds: int | None):
-    """(d, m, lambda, seed, noise settings) of a benchmark workload's instance pool."""
+def pool_instances(name: str, seed: int):
+    """(GenSpec, lambda) of a benchmark workload's instance pool."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS, instance_pool
 
     wl = WORKLOADS[name]
-    gen = dict(noise_sigma=wl.noise_sigma, outlier_fraction=wl.outlier_fraction)
-    for inst in instance_pool(wl, seed, rounds or wl.rounds(48)):
-        yield inst.d, inst.m, inst.lam, inst.data_seed, gen
+    for inst in instance_pool(wl, seed, wl.rounds(48)):
+        gen = GenSpec(
+            m=inst.m,
+            d=inst.d,
+            noise_sigma=wl.noise_sigma,
+            outlier_fraction=wl.outlier_fraction,
+            seed=inst.data_seed,
+        )
+        yield gen, inst.lam
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--solvers", default="locus_ternary,locus_quadrature,ccd_plain")
-    grid = ap.add_mutually_exclusive_group()
-    grid.add_argument("--oracle", type=int, default=200, metavar="N")
-    grid.add_argument("--pool", metavar="WORKLOAD:SEED")
-    ap.add_argument("--rounds", type=int, default=None)
+    ap.add_argument("--pool", metavar="WORKLOAD:SEED")
     args = ap.parse_args()
 
     if args.pool:
         name, seed = args.pool.split(":")
-        instances = pool_instances(name, int(seed), args.rounds)
+        instances = pool_instances(name, int(seed))
     else:
-        instances = oracle_instances(args.oracle)
+        instances = oracle_grid(200)
     solvers = [s for s in args.solvers.split(",") if s]
     solver_args = cli.build_parser().parse_args(["bench"])
 
     digest = hashlib.sha1()
     count = 0
-    for d, m, lam, seed, gen in instances:
-        data, _ = generate(GenSpec(m=m, d=d, seed=seed, **gen))
+    for gen, lam in instances:
+        data, _ = generate(gen)
         spec = ProblemSpec(data, lam)
         for solver in solvers:
             res = cli.run_solver(solver, spec, solver_args)

@@ -49,8 +49,8 @@ from .linesearch import (
     SearchConfig,
     quadrature_min,
     ternary_min,
+    weighted_median_from,
     weighted_median_min,
-    weighted_median_sorted,
 )
 from .model import (
     Coefficients,
@@ -105,20 +105,6 @@ def _axis_pwl(x, y_minus_xb, b, lam, j):
     return PiecewiseLinear1D(locations, weights, constant)
 
 
-def _warm_median(locations: np.ndarray, weights: np.ndarray, order: np.ndarray):
-    """Weighted-median minimiser of the breakpoints, sorted from a warm order.
-
-    ``order`` is the permutation that sorted the breakpoints last time (the
-    identity at first).  Gathering them in that order leaves them nearly
-    sorted, and the stable sort finishes the job.  Returns the minimiser and
-    the permutation that sorts the breakpoints now.
-    """
-    warm = locations[order]
-    perm = warm.argsort(kind="stable")
-    order = order[perm]
-    return weighted_median_sorted(warm[perm], weights[order].cumsum()), order
-
-
 class _AxisWorkspace:
     """Constant structure of one axis: its column, nonzero rows and weights.
 
@@ -171,8 +157,7 @@ def _line_step(x, y, lam, b, residual, v):
     moving = v != 0.0
     locations = np.concatenate((residual[rows] / xv[rows], -b[moving] / v[moving]))
     weights = np.concatenate((np.abs(xv[rows]), lam * np.abs(v[moving])))
-    order = locations.argsort(kind="stable")
-    s = weighted_median_sorted(locations[order], weights[order].cumsum())
+    s, _ = weighted_median_from(locations, weights, np.arange(locations.size))
     b_new = b + s * v
     r_new = y - x @ b_new
     return b_new, r_new, float(np.abs(r_new).sum() + lam * np.abs(b_new).sum())
@@ -244,7 +229,7 @@ def ccd_descend(
                     head += bj
                 else:
                     np.divide(residual[ws.nz_idx] + ws.col_nz * bj, ws.col_nz, out=head)
-                t_new, orders[j] = _warm_median(locs, ws.weights, orders[j])
+                t_new, orders[j] = weighted_median_from(locs, ws.weights, orders[j])
                 evals += 1
                 if abs(t_new - bj) <= 1e-14 * (1.0 + abs(bj)):
                     # already at this axis' minimiser (up to residual rounding)

@@ -7,7 +7,8 @@ A function of the form
 is convex and attains its minimum at a weighted median of the breakpoint
 locations; ``weighted_median_min`` computes that exactly.  Its rule, the
 half-weight crossing with the midpoint of a flat segment, lives in
-``weighted_median_sorted``, which the coordinate descent's kernels call too.
+``weighted_median_sorted``, and its sort in ``weighted_median_from``, which
+the coordinate descent's kernels call too.
 When only an evaluator is available two bracket searches are provided:
 ``ternary_min`` (two interior probes, bracket shrinks by one third per
 round) and ``quadrature_min`` (a fixed interior grid of probes per round, so
@@ -148,6 +149,21 @@ def weighted_median_sorted(locations: np.ndarray, cumulative: np.ndarray) -> flo
     return float(locations[min(k, locations.size - 1)])
 
 
+def weighted_median_from(locations: np.ndarray, weights: np.ndarray, order: np.ndarray):
+    """Weighted-median minimiser of unsorted breakpoints, sorted from ``order``.
+
+    ``order`` is any permutation of the breakpoints: the identity sorts them
+    from scratch, and the permutation that sorted similar breakpoints before
+    leaves them nearly sorted, which the stable sort (numpy's timsort) then
+    finishes in about linear time.  Returns the minimiser and the permutation
+    that sorts the breakpoints now.
+    """
+    start = locations[order]
+    perm = start.argsort(kind="stable")
+    order = order[perm]
+    return weighted_median_sorted(start[perm], weights[order].cumsum()), order
+
+
 def weighted_median_min(g: PiecewiseLinear1D) -> tuple[float, float]:
     """Exact minimiser of a convex piecewise-linear function, and its value.
 
@@ -158,8 +174,7 @@ def weighted_median_min(g: PiecewiseLinear1D) -> tuple[float, float]:
         raise DegenerateInputError("need at least one breakpoint")
     if g.total_weight <= 0.0:
         raise DegenerateInputError("total breakpoint weight must be positive")
-    order = g.locations.argsort(kind="stable")
-    t_star = weighted_median_sorted(g.locations[order], g.weights[order].cumsum())
+    t_star, _ = weighted_median_from(g.locations, g.weights, np.arange(g.locations.size))
     return t_star, g(t_star)
 
 

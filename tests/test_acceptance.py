@@ -7,7 +7,6 @@ runs first so its wall-time measurements happen before sustained load can
 throttle the machine.
 """
 
-import itertools
 import math
 import time
 
@@ -18,7 +17,7 @@ from ladlasso.brute import candidate_count, solve_brute
 from ladlasso.ccd import CcdConfig, ccd_descend, is_axiswise_minimum, solve_ccd
 from ladlasso.cli import main
 from ladlasso.datagen import GenSpec, generate
-from ladlasso.fixtures import ccd_stall_problem
+from ladlasso.fixtures import ccd_stall_problem, oracle_grid
 from ladlasso.linesearch import Bracket
 from ladlasso.locus import LocusConfig, default_outer_axis, sample_locus, solve_locus
 from ladlasso.lp import formulate, initial_basis, simplex_minimize
@@ -106,15 +105,11 @@ def oracle_sweep():
     variable vector kept for the structural checks), both locus solvers, and
     a traced plain coordinate descent.
     """
-    grid = list(itertools.product((1, 2, 3), range(4, 13), (0.01, 0.1, 1.0)))
     records = []
     started = time.perf_counter()
-    for i in range(200):
-        d, m, lam = grid[i % len(grid)]
-        seed = 9000 + i
-        data, _ = generate(
-            GenSpec(m=m, d=d, noise_sigma=1.0, outlier_fraction=0.2, seed=seed)
-        )
+    for gen, lam in oracle_grid(200):
+        d, m, seed = gen.d, gen.m, gen.seed
+        data, _ = generate(gen)
         spec = ProblemSpec(data, lam)
         reference = solve_brute(spec)
         lp = formulate(spec)

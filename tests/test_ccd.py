@@ -6,14 +6,18 @@ from hypothesis import strategies as st
 from ladlasso.brute import solve_brute
 from ladlasso.ccd import (
     CcdConfig,
-    _warm_median,
     ccd_descend,
     is_axiswise_minimum,
     perturb_restart,
     solve_ccd,
 )
 from ladlasso.fixtures import CCD_STALL_GEN, CCD_STALL_LAMBDA, ccd_stall_problem
-from ladlasso.linesearch import PiecewiseLinear1D, weighted_median_min, weighted_median_sorted
+from ladlasso.linesearch import (
+    PiecewiseLinear1D,
+    weighted_median_from,
+    weighted_median_min,
+    weighted_median_sorted,
+)
 from ladlasso.model import Coefficients, axis_restriction, evaluate_objective
 from util import make_problem, rel_gap, tiny_problem
 
@@ -192,7 +196,7 @@ def test_warm_median_matches_a_cold_sort(data, n):
     weights = np.array(data.draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
     warm_order = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
 
-    t_warm, order = _warm_median(locations, weights, warm_order)
+    t_warm, order = weighted_median_from(locations, weights, warm_order)
     cold = locations.argsort(kind="stable")
     t_cold = weighted_median_sorted(locations[cold], weights[cold].cumsum())
 
