@@ -4,7 +4,8 @@ Four interchangeable solvers minimise the same convex piecewise-linear
 objective:
 
 - ``lp``: simplex on the standard-form recasting, pivoting a narrow
-  tableau of width 2d+2 at O(m.d) per pivot;
+  tableau of width 2d+2 at O(m.d) per pivot, each step passing every
+  breakpoint that still lowers the objective;
 - ``brute``: exhaustive vertex evaluation, the ground-truth oracle for
   small problems;
 - ``locus_ternary`` / ``locus_quadrature``: a two-stage search that walks

@@ -14,26 +14,42 @@ Splitting the residuals by the sign of y also hands us a feasible starting
 basis for free, so no phase-1 is ever needed.
 
 The simplex uses Dantzig pricing with a permanent switch to Bland's rule
-after a degenerate streak, which guarantees termination; both the entering
-and the leaving tie-breaks go to the lowest variable index.  It pivots a
-narrow tableau of width 2d+2, so a pivot costs O(m.d) and memory is O(m.d):
+after a degenerate streak, and the pivot budget bounds the loop in any case;
+the entering tie-break goes to the lowest variable index.  It pivots a narrow
+tableau of width 2d+2, so a pivot costs O(m.d) and memory is O(m.d):
 
 - The column of a pair's negative part (bn_j, rn_i) is always the negation
   of its positive part's (bp_j, rp_i), so only the positive part's column is
   stored, and the pivot negates it when the negative part enters.  Two price
   rows hold the reduced costs of the positive and of the negative parts.
-- A basic residual has a unit column, and its partner's reduced cost stays
-  fixed near 2 while it is basic, so neither can ever enter.  Only the
-  residual pairs of active rows (rows whose residual is nonbasic) are stored.
+- A basic residual has a unit column and its partner minus that column, so
+  the partner's reduced cost is exactly its own cost plus the basic one's,
+  1 + 1 = 2, whatever pivots happen elsewhere; neither can ever enter.  Only
+  the residual pairs of active rows (rows whose residual is nonbasic) are
+  stored, and a row that turns active prices its nonbasic residual at 2.
   There are at most d active rows, one per basic coefficient, so d+1 slots
   (one spare for the row that turns active during a pivot) sit next to the d
   coefficient pairs and the right-hand side.
 
-Each pivot applies to every stored number the same floating-point operations
-as the full (2d+2m+1)-wide tableau would, so pricing and the ratio test see
-the same values; only the starting prices may differ in the last bit, as BLAS
-may sum the narrower matrix in another order.  The solution is returned in
-the full 2d+2m space.
+The ratio test takes a long step.  Along the edge on which a variable
+enters, the objective is convex and piecewise linear in the step length:
+where a basic variable would cross zero, at ratio rhs_i / col_i, its pair
+partner can take over instead of blocking the step, and the slope rises by
+2 c_i col_i (c_i is 1 for a residual, lambda_eff for a coefficient).  So the
+rows are sorted by ratio, ties going to the lowest basic index, the slope is
+accumulated from the entering price, and the first row at which it reaches
+-tol leaves: the step ends at a weighted median of the breakpoints, the
+minimum along the edge.  With d = 1 that is the problem's own optimum, found
+in one pivot.  A step that passes no breakpoint is the textbook pivot.
+
+Every row passed before the leaving one flips: its basic variable hands over
+to the partner, whose column is the negation, so the basis matrix has one
+column negated and its inverse the same row negated.  The tableau row,
+right-hand side included, is negated.  The basic cost is unchanged, but row
+i's share c_i T_i of the positive parts' prices changes sign, so 2 c_i T_i
+is added to their price row and subtracted from the negative parts' price
+row; the objective cell of that row takes the same update.  The solution is
+returned in the full 2d+2m space.
 """
 
 from __future__ import annotations
@@ -119,7 +135,8 @@ class SimplexSolution:
 
 def formulate(spec: ProblemSpec) -> LpStandardForm:
     """Build the standard form for a problem."""
-    cost = np.concatenate([np.full(2 * spec.d, spec.lambda_eff), np.ones(2 * spec.m)])
+    cost = np.ones(2 * spec.d + 2 * spec.m)
+    cost[: 2 * spec.d] = spec.lambda_eff
     return LpStandardForm(cost, spec.data.y.copy(), spec)
 
 
@@ -135,11 +152,11 @@ def embed(lp: LpStandardForm, beta) -> np.ndarray:
 def initial_basis(lp: LpStandardForm) -> np.ndarray:
     """Sign-split residual basis: rp_i where y_i >= 0, else rn_i.  Always feasible."""
     d, m = lp.d, lp.m
-    return np.where(lp.rhs >= 0, 2 * d + np.arange(m), 2 * d + m + np.arange(m))
+    return 2 * d + np.arange(m) + m * (lp.rhs < 0)
 
 
 def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> SimplexSolution:
-    """Primal simplex from the sign-split basis.
+    """Primal simplex from the sign-split basis, with a long-step ratio test.
 
     Raises SimplexError on detected unboundedness, which a well-formed
     formulation cannot produce; treat it as a bug signal.
@@ -153,6 +170,9 @@ def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> Si
 
     basis = initial_basis(lp)
     sign = np.where(b >= 0, 1.0, -1.0)
+    idx = np.arange(n)
+    # mate[v] is the other member of v's pair
+    mate = np.concatenate((idx[d : 2 * d], idx[:d], idx[2 * d + m :], idx[2 * d : 2 * d + m]))
     # Column k holds the column of a positive part (bp_j for k < d, then the
     # rp_i of active rows; the negative part's column is its negation) and the
     # last column the right-hand side.  Row m holds the reduced costs of the
@@ -164,19 +184,17 @@ def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> Si
     tableau[:m, :d] = sign[:, None] * x
     tableau[:m, width] = sign * b
     rhs = tableau[:m, width]
-    cb = c[basis]
-    col_sums = cb @ tableau[:m, :d]
+    # every starting basic variable is a residual part, of cost 1 as formulate
+    # builds them
+    col_sums = tableau[:m, :d].sum(axis=0)
     tableau[m, :d] = c[:d] - col_sums
     tableau[m + 1, :d] = c[d : 2 * d] + col_sums
     tableau[m:, d:] = math.inf
-    tableau[m + 1, width] = float(cb @ rhs)
+    tableau[m + 1, width] = rhs.sum()
     prices = tableau.reshape(-1)[m * (width + 1) : (m + 2) * (width + 1) - 1]
     # var[p] is the variable priced at prices[p]
     var = list(range(d)) + [-1] * (d + 2) + list(range(d, 2 * d)) + [-1] * (d + 1)
     free = list(range(width - 1, d - 1, -1))
-    # parked[i]: the reduced cost of row i's nonbasic residual while the row is
-    # inactive; its column is minus a unit vector, so pivots elsewhere leave it be
-    parked = c[2 * d : 2 * d + m] + c[2 * d + m :]
 
     bland = cfg.pivot_rule == "bland"
     degenerate_streak = 0
@@ -185,7 +203,7 @@ def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> Si
     trace = [float(tableau[m + 1, width])]
     while pivots < max_pivots:
         # the variables without a price here are basic residuals (price 0) and
-        # their partners (price near 2), so none of them could enter
+        # their partners (price 2), so none of them could enter
         values = prices.tolist()
         if bland:
             candidates = [q for q, v in enumerate(values) if v < -tol]
@@ -197,7 +215,6 @@ def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> Si
             break
         p = min(candidates, key=var.__getitem__)
         col = var[p]
-        cv = values[p]
         k = p % (width + 1)
         negative = p > width
         pivot_col = -tableau[:m, k] if negative else tableau[:m, k]
@@ -205,10 +222,23 @@ def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> Si
         eligible = (pivot_col > tol).nonzero()[0]
         if len(eligible) == 0:
             raise SimplexError("unbounded direction in a formulation that cannot be unbounded")
-        ratios = rhs[eligible] / pivot_col[eligible]
-        best = float(ratios[ratios.argmin()])
-        ties = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        row = int(ties[0]) if len(ties) == 1 else int(ties[basis[ties].argmin()])
+        # the rows in the order the edge reaches their breakpoints, ties to the
+        # lowest basic index; passing row i's raises the slope by 2 c_i col_i
+        breaks = eligible[np.lexsort((basis[eligible], rhs[eligible] / pivot_col[eligible]))]
+        rates = 2.0 * c[basis[breaks]]
+        rises = (rates * pivot_col[breaks]).cumsum()
+        # the first breakpoint past which the slope values[p] + rises is >= -tol,
+        # or the last one should rounding keep the slope below it
+        stop = min(int(rises.searchsorted(-tol - values[p])), len(breaks) - 1)
+        row = int(breaks[stop])
+        if stop:  # each row passed hands its basic variable to the pair partner
+            flips = breaks[:stop]
+            flipped = tableau[flips]
+            shift = rates[:stop] @ flipped
+            tableau[m] += shift
+            tableau[m + 1] -= shift
+            tableau[flips] = -flipped
+            basis[flips] = mate[basis[flips]]
 
         leaving = int(basis[row])
         if leaving >= 2 * d:  # the row turns active: its residual pair takes a free slot
@@ -216,20 +246,20 @@ def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> Si
             i = (leaving - 2 * d) % m
             if leaving == 2 * d + i:
                 tableau[row, f] = 1.0
-                prices[f], prices[f + width + 1] = 0.0, parked[i]
+                prices[f], prices[f + width + 1] = 0.0, 2.0
             else:
                 tableau[row, f] = -1.0
-                prices[f], prices[f + width + 1] = parked[i], 0.0
+                prices[f], prices[f + width + 1] = 2.0, 0.0
             var[f], var[f + width + 1] = 2 * d + i, 2 * d + m + i
 
+        cv = float(prices[p])  # after the flips: the slope up to the leaving breakpoint
         tableau[row] /= pivot_col[row]
         col_vals = -tableau[:, k] if negative else tableau[:, k].copy()
         col_vals[row] = 0.0
         col_vals[m], col_vals[m + 1] = cv, -cv  # a negative part's column is negated
         # this leaves column k exactly +-e_row and the entering price exactly 0
         tableau -= col_vals[:, None] * tableau[row]
-        if col >= 2 * d:  # a basic residual keeps no column; its partner's price parks
-            parked[(col - 2 * d) % m] = tableau[m if negative else m + 1, k]
+        if col >= 2 * d:  # a basic residual keeps no column
             tableau[:m, k] = 0.0
             tableau[m:, k] = math.inf
             free.append(k)
@@ -237,7 +267,7 @@ def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> Si
         pivots += 1
         trace.append(float(tableau[m + 1, width]))
 
-        degenerate_streak = degenerate_streak + 1 if best <= tol else 0
+        degenerate_streak = degenerate_streak + 1 if rhs[row] <= tol else 0
         if not bland and degenerate_streak >= n:
             bland = True
 

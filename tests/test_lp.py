@@ -17,7 +17,8 @@ from ladlasso.lp import (
     simplex_minimize,
     solve_lp,
 )
-from ladlasso.model import evaluate_objective
+from ladlasso.linesearch import weighted_median_min
+from ladlasso.model import axis_restriction, evaluate_objective
 from util import make_problem, rel_gap, tiny_problem
 
 
@@ -188,35 +189,40 @@ def _assert_complementary(sol, d, m):
     assert np.minimum(rp, rn).max() <= 1e-9
 
 
-# (seed, d, m, pivot rule, pivots, objective) as the full-width dense tableau
-# produced them; a drift in pricing or in a tie-break changes the pivot count
+# (seed, d, m, pivot rule, pivots, objective) as the dense tableau with a
+# min-ratio test recorded them
 PINNED_PIVOT_SEQUENCES = [
     (41, 3, 12, "dantzig_with_bland_fallback", 10, 41.73810886196885),
     (42, 5, 200, "dantzig_with_bland_fallback", 117, 454.0286665176941),
     (43, 5, 400, "dantzig_with_bland_fallback", 265, 874.7759237365002),
     (44, 5, 200, "bland", 463, 449.97922039363345),
 ]
+# the long step's pivots on the same problems, by seed; a drift in pricing, in
+# how far a step passes breakpoints or in the lowest-basic-index tie order
+# changes them
+LONG_STEP_PIVOTS = {41: 7, 42: 17, 43: 27, 44: 49}
 
 
-@pytest.mark.parametrize("seed,d,m,rule,pivots,objective", PINNED_PIVOT_SEQUENCES)
-def test_pivot_sequence_is_pinned(seed, d, m, rule, pivots, objective):
+@pytest.mark.parametrize("seed,d,m,rule,dense_pivots,objective", PINNED_PIVOT_SEQUENCES)
+def test_pivot_sequence_is_pinned(seed, d, m, rule, dense_pivots, objective):
     spec = make_problem(seed=seed, d=d, m=m, lam=0.1)
     sol = simplex_minimize(formulate(spec), SimplexConfig(pivot_rule=rule))
     assert sol.converged
-    assert sol.pivots == pivots
+    assert sol.pivots == LONG_STEP_PIVOTS[seed] < dense_pivots
     assert sol.objective == pytest.approx(objective, rel=1e-12)
 
 
 def test_leaving_ties_are_pinned():
-    # every row twice: the twins tie in the ratio test, and the row whose basic
-    # variable has the lowest index leaves; the final basis records each choice
+    # every row twice: the twins' breakpoints tie in the long step, which takes
+    # the row whose basic variable has the lowest index first, to flip or to
+    # leave; the final basis records each choice
     data, _ = generate(GenSpec(m=12, d=3, noise_sigma=1.0, outlier_fraction=0.2, seed=0))
     x, y = data.x.copy(), data.y.copy()
     x[6:], y[6:] = x[:6], y[:6]
     sol = simplex_minimize(formulate(tiny_problem(x, y, 0.1)))
     assert sol.converged
-    assert sol.pivots == 9
-    assert sol.basis.tolist() == [2, 14, 1, 13, 22, 0, 12, 7, 6, 15, 28, 11]
+    assert sol.pivots == 3
+    assert sol.basis.tolist() == [6, 7, 8, 0, 22, 1, 12, 13, 2, 15, 28, 17]
     assert sol.objective == pytest.approx(5.262172293653451, rel=1e-12)
 
 
@@ -239,8 +245,40 @@ def test_exact_price_ties_zero_and_duplicate_columns(lam):
         assert sol.x[2] == sol.x[5] == 0.0
 
 
+@pytest.mark.parametrize("m", [10, 100, 1000])
+def test_one_dimension_is_one_long_step(m):
+    # from beta = 0 the first edge is the descent direction of the 1-D problem,
+    # and the long step stops at its weighted median: the optimum
+    spec = make_problem(seed=80 + m, d=1, m=m, lam=0.1)
+    sol = simplex_minimize(formulate(spec))
+    assert sol.converged
+    assert sol.pivots == 1
+    t_star, _ = weighted_median_min(axis_restriction(spec, [0.0], 0))
+    assert sol.x[0] - sol.x[1] == pytest.approx(t_star, rel=1e-12, abs=1e-12)
 
-@pytest.mark.parametrize("m", [100, 1000])
+
+@pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+def test_long_steps_through_degenerate_and_tied_breakpoints(lam):
+    # rows with y = 0 put breakpoints at ratio 0, and duplicated rows put two
+    # at the same ratio; under both rules the steps pass several of each
+    data, _ = generate(GenSpec(m=12, d=3, noise_sigma=1.0, outlier_fraction=0.2, seed=2))
+    x, y = data.x.copy(), data.y.copy()
+    y[:3] = 0.0
+    x[8:], y[8:] = x[3:7], y[3:7]
+    spec = tiny_problem(x, y, lam)
+    reference = solve_brute(spec)
+    for rule in PIVOT_RULES:
+        sol = simplex_minimize(formulate(spec), SimplexConfig(pivot_rule=rule))
+        assert sol.converged
+        assert rel_gap(sol.objective, reference.objective) < 1e-9
+        _assert_complementary(sol, spec.d, spec.m)
+
+
+# the long step's pivots by m; the min-ratio test took 66, 603 and 5,941
+SCALE_PIVOTS = {100: 19, 1000: 22, 10000: 37}
+
+
+@pytest.mark.parametrize("m", sorted(SCALE_PIVOTS))
 def test_agrees_with_external_solver_at_scale(m):
     linprog = pytest.importorskip("scipy.optimize").linprog
     sparse = pytest.importorskip("scipy.sparse")
@@ -248,6 +286,7 @@ def test_agrees_with_external_solver_at_scale(m):
     lp = formulate(spec)
     sol = simplex_minimize(lp)
     assert sol.converged
+    assert sol.pivots == SCALE_PIVOTS[m]
     _assert_complementary(sol, spec.d, m)
 
     x = sparse.csr_matrix(spec.data.x)
