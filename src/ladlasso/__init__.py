@@ -19,7 +19,7 @@ The package also ships a seedable synthetic data generator and a CLI
 """
 
 from .brute import enumerate_vertices, solve_brute, solve_linear_system
-from .ccd import CcdConfig, ccd_descend, is_axiswise_minimum, perturb_restart, solve_ccd
+from .ccd import CcdConfig, ccd_descend, is_axiswise_minimum, solve_ccd
 from .datagen import GenSpec, generate, read_dataset_csv, write_dataset_csv
 from .linesearch import (
     Bracket,
@@ -70,7 +70,6 @@ __all__ = [
     "generate",
     "is_axiswise_minimum",
     "locus_value",
-    "perturb_restart",
     "quadrature_min",
     "read_dataset_csv",
     "sample_locus",

@@ -1,9 +1,9 @@
 """Cyclical coordinate descent on the piecewise-linear objective.
 
-Each coordinate update minimises the exact one-dimensional restriction of the
-objective (a weighted sum of absolute deviations), either with the exact
-weighted-median oracle or with a bracket search.  A candidate move is applied
-only when it strictly lowers the tracked objective, so the value sequence is
+Each coordinate update minimises the one-dimensional restriction of the
+objective (a weighted sum of absolute deviations) exactly, at a weighted
+median of its breakpoints.  A candidate move is applied only when it
+strictly lowers the tracked objective, so the value sequence is
 non-increasing by construction.
 
 On a non-smooth surface the sweep can halt at a point where every
@@ -38,20 +38,12 @@ differ, which can move the cumulative weight by its last bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .linesearch import (
-    Bracket,
-    PiecewiseLinear1D,
-    SearchConfig,
-    quadrature_min,
-    ternary_min,
-    weighted_median_from,
-    weighted_median_min,
-)
+from .linesearch import weighted_median_from
 from .model import (
     Coefficients,
     ProblemSpec,
@@ -60,8 +52,6 @@ from .model import (
     axis_restriction,
     objective_value,
 )
-
-LINE_SEARCHES = ("exact_median", "ternary", "quadrature")
 
 
 @dataclass(frozen=True)
@@ -74,35 +64,19 @@ class CcdConfig:
     displacement whenever that sweep gained more than half of what the
     previous one did; it is off by default, so plain descent (``solve_ccd``,
     ``sample_locus``) never takes one, and only the locus search's probe
-    descents switch it on.  ``search`` only matters for the
-    ternary/quadrature line searches.
+    descents switch it on.
     """
 
-    line_search: str = "exact_median"
     sweep_tolerance: float = 1e-10
     max_sweeps: int = 500
     frozen_axis: int | None = None
     line_steps: bool = False
-    search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
-        if self.line_search not in LINE_SEARCHES:
-            raise InvalidInputError(f"unknown line search {self.line_search!r}")
         if self.sweep_tolerance <= 0:
             raise InvalidInputError("sweep_tolerance must be positive")
         if self.max_sweeps < 1:
             raise InvalidInputError("max_sweeps must be at least 1")
-
-
-def _axis_pwl(x, y_minus_xb, b, lam, j):
-    """Axis restriction built from the maintained residual vector."""
-    col = x[:, j]
-    base = y_minus_xb + col * b[j]
-    nz = col != 0.0
-    locations = np.append(base[nz] / col[nz], 0.0)
-    weights = np.append(np.abs(col[nz]), lam)
-    constant = float(np.abs(base[~nz]).sum() + lam * (np.abs(b).sum() - abs(b[j])))
-    return PiecewiseLinear1D(locations, weights, constant)
 
 
 class _AxisWorkspace:
@@ -163,19 +137,6 @@ def _line_step(x, y, lam, b, residual, v):
     return b_new, r_new, float(np.abs(r_new).sum() + lam * np.abs(b_new).sum())
 
 
-def _line_minimum(g: PiecewiseLinear1D, cfg: CcdConfig) -> tuple[float, float, int]:
-    if cfg.line_search == "exact_median":
-        t, v = weighted_median_min(g)
-        return t, v, 1
-    lo = float(g.locations.min())
-    hi = float(g.locations.max())
-    if lo == hi:
-        return lo, g(lo), 1
-    search = ternary_min if cfg.line_search == "ternary" else quadrature_min
-    res = search(g, Bracket(lo, hi), cfg.search)
-    return res.t, res.value, res.evals
-
-
 def ccd_descend(
     spec: ProblemSpec,
     start: Coefficients,
@@ -187,8 +148,8 @@ def ccd_descend(
     Axes are visited in fixed ascending order.  ``converged`` is True iff some
     full sweep improved the objective by less than ``sweep_tolerance``;
     otherwise the sweep budget ran out and the best point so far is returned.
-    ``iterations`` counts sweeps, ``objective_evals`` counts 1-D minimisations
-    (or probe evaluations for bracket line searches), line steps included.
+    ``iterations`` counts sweeps, ``objective_evals`` counts weighted
+    medians, one per coordinate update and one per line step.
     If ``trace`` is a list, the objective after every coordinate update (moved
     or not) and after every accepted line step is appended.
     """
@@ -201,15 +162,13 @@ def ccd_descend(
     lam = spec.lambda_eff
     residual = y - x @ b
     f_cur = float(np.abs(residual).sum() + lam * np.abs(b).sum())
-    exact = cfg.line_search == "exact_median"
     axes = [j for j in range(spec.d) if j != cfg.frozen_axis]
-    if exact:
-        work = _axis_workspaces(spec)
-        # scratch breakpoints and warm sort orders, private to this descent;
-        # the penalty's breakpoint stays at 0
-        locations = [np.zeros(ws.weights.size) for ws in work]
-        heads = [locs[:-1] for locs in locations]
-        orders = [ws.identity for ws in work]
+    work = _axis_workspaces(spec)
+    # scratch breakpoints and warm sort orders, private to this descent;
+    # the penalty's breakpoint stays at 0
+    locations = [np.zeros(ws.weights.size) for ws in work]
+    heads = [locs[:-1] for locs in locations]
+    orders = [ws.identity for ws in work]
     evals = 0
     sweeps = 0
     converged = False
@@ -221,33 +180,26 @@ def ccd_descend(
         sum_abs_b = float(np.abs(b).sum())  # refresh: incremental updates may drift
         for j in axes:
             bj = float(b[j])
-            if exact:
-                ws = work[j]
-                locs, head = locations[j], heads[j]
-                if ws.dense:
-                    np.divide(residual, ws.col_nz, out=head)
-                    head += bj
-                else:
-                    np.divide(residual[ws.nz_idx] + ws.col_nz * bj, ws.col_nz, out=head)
-                t_new, orders[j] = weighted_median_from(locs, ws.weights, orders[j])
-                evals += 1
-                if abs(t_new - bj) <= 1e-14 * (1.0 + abs(bj)):
-                    # already at this axis' minimiser (up to residual rounding)
-                    if trace is not None:
-                        trace.append(f_cur)
-                    continue
-                constant = lam * (sum_abs_b - abs(bj))
-                if ws.zero_idx.size:
-                    constant += float(np.abs(residual[ws.zero_idx]).sum())
-                v_new = constant + float(np.abs(t_new - locs) @ ws.weights)
-                col = ws.col
+            ws = work[j]
+            locs, head = locations[j], heads[j]
+            if ws.dense:
+                np.divide(residual, ws.col_nz, out=head)
+                head += bj
             else:
-                g = _axis_pwl(x, residual, b, lam, j)
-                t_new, v_new, n = _line_minimum(g, cfg)
-                evals += n
-                col = x[:, j]
+                np.divide(residual[ws.nz_idx] + ws.col_nz * bj, ws.col_nz, out=head)
+            t_new, orders[j] = weighted_median_from(locs, ws.weights, orders[j])
+            evals += 1
+            if abs(t_new - bj) <= 1e-14 * (1.0 + abs(bj)):
+                # already at this axis' minimiser (up to residual rounding)
+                if trace is not None:
+                    trace.append(f_cur)
+                continue
+            constant = lam * (sum_abs_b - abs(bj))
+            if ws.zero_idx.size:
+                constant += float(np.abs(residual[ws.zero_idx]).sum())
+            v_new = constant + float(np.abs(t_new - locs) @ ws.weights)
             if v_new < f_cur:
-                residual -= col * (t_new - bj)
+                residual -= ws.col * (t_new - bj)
                 sum_abs_b += abs(t_new) - abs(bj)
                 b[j] = t_new
                 f_cur = v_new
@@ -278,9 +230,9 @@ def ccd_descend(
     )
 
 
-def solve_ccd(spec: ProblemSpec, cfg: CcdConfig | None = None, start: Coefficients | None = None) -> SolveResult:
-    """Plain descent from zero (or ``start``); may stall above the optimum."""
-    return ccd_descend(spec, start or Coefficients.zeros(spec.d), cfg)
+def solve_ccd(spec: ProblemSpec, cfg: CcdConfig | None = None) -> SolveResult:
+    """Plain descent from zero; may stall above the optimum."""
+    return ccd_descend(spec, Coefficients.zeros(spec.d), cfg)
 
 
 def is_axiswise_minimum(
@@ -307,22 +259,3 @@ def is_axiswise_minimum(
         if left > slope_eps or right < -slope_eps:
             return False
     return True
-
-
-def perturb_restart(
-    spec: ProblemSpec,
-    beta: Coefficients,
-    axis: int,
-    delta: float,
-    cfg: CcdConfig | None = None,
-) -> SolveResult:
-    """Diagnostic: nudge one coordinate of a halted point and descend again.
-
-    Useful for probing neighbouring axis-wise minima; the production path
-    uses the frozen-axis restricted descent instead.
-    """
-    b = _beta_array(spec, beta).copy()
-    if not 0 <= axis < spec.d:
-        raise InvalidInputError(f"axis {axis} out of range for d={spec.d}")
-    b[axis] += delta
-    return ccd_descend(spec, Coefficients(b), cfg)

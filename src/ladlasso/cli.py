@@ -12,6 +12,9 @@ bench   time the solvers over a (d, m) grid and write per-run and per-cell
         median CSVs suitable for plotting elsewhere.
 gen     write a synthetic dataset CSV plus a metadata sidecar.
 
+A bad flag value, including a solver tuning value the solver configs reject,
+exits 2 with a usage message before any data is read or generated.
+
 All numeric output uses full-precision scientific notation.  Result CSVs are
 byte-stable for fixed seeds and configs apart from the wall-time columns.
 """
@@ -401,7 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "probes"):
+        try:
+            _locus_config(args, "ternary")  # builds the CCD config too
+        except InvalidInputError as exc:
+            parser.error(str(exc))
+    for flag in ("n_instances", "repeats"):
+        if getattr(args, flag, 1) < 1:
+            parser.error(f"--{flag.replace('_', '-')} must be at least 1")
     return args.func(args)
 
 

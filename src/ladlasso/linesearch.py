@@ -62,10 +62,6 @@ class PiecewiseLinear1D:
     def __call__(self, t: float) -> float:
         return self.constant + float(np.abs(t - self.locations) @ self.weights)
 
-    def values(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return self.constant + np.abs(ts[:, None] - self.locations[None, :]) @ self.weights
-
     def slopes_at(self, t: float, atol: float = 0.0) -> tuple[float, float]:
         """One-sided derivatives (left, right) at t.
 
@@ -257,8 +253,8 @@ def quadrature_min(g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = No
     return SearchResult(best.t, best.value, rounds, evals, (hi - lo) <= target, Bracket(lo, hi))
 
 
-def expand_bracket(g: Evaluator, bracket: Bracket, growth: float = 2.0, max_doublings: int = 60) -> Bracket:
-    """Grow a bracket until its interior holds a point strictly below both ends.
+def expand_bracket(g: Evaluator, bracket: Bracket, max_doublings: int = 60) -> Bracket:
+    """Double a bracket until its interior holds a point strictly below both ends.
 
     For a convex evaluator that certificate implies a minimum lies inside.
     The bracket is extended on whichever side has the lower endpoint value
@@ -266,8 +262,6 @@ def expand_bracket(g: Evaluator, bracket: Bracket, growth: float = 2.0, max_doub
     ``max_doublings`` extensions means the function keeps descending, which a
     penalised objective cannot do.
     """
-    if growth <= 1.0:
-        raise InvalidInputError("growth must exceed 1")
     lo, hi = bracket.lo, bracket.hi
     g_lo = g(lo)
     g_hi = g(hi)
@@ -275,7 +269,7 @@ def expand_bracket(g: Evaluator, bracket: Bracket, growth: float = 2.0, max_doub
         g_mid = g(0.5 * (lo + hi))
         if g_mid < g_lo and g_mid < g_hi:
             return Bracket(lo, hi)
-        step = (growth - 1.0) * (hi - lo)
+        step = hi - lo
         if g_lo < g_hi:
             lo -= step
             g_lo = g(lo)

@@ -38,54 +38,43 @@ OUTER_SEARCHES = ("ternary", "quadrature")
 AXIS_AGREEMENT_RTOL = 1e-7
 ECONOMY_AGREEMENT_RTOL = 1e-6
 
+# the dense refinement's grid: rounds, and probes per round
+REFINE_ROUNDS = 4
+REFINE_PROBES = 16
+
 
 @dataclass(frozen=True)
 class LocusConfig:
     """Outer-search controls; ``inner`` configures the restricted descents.
 
-    Setting ``outer_axis`` pins the search to that one axis; leaving it unset
-    lets the solver scan axes in influence order (see ``solve_locus``).  The
-    initial bracket, when not given, is sized so that a coefficient beyond it
-    would already be implausible on penalty grounds, then validated by
-    expansion.
+    ``outer_tolerance`` and ``outer_probes`` set the bracket search along each
+    axis (``SearchConfig``, which also checks them); the axes are searched in
+    influence order (see ``solve_locus``).
     """
 
-    outer_axis: int | None = None
     outer_search: str = "ternary"
     outer_tolerance: float = 1e-9
     inner: CcdConfig = field(default_factory=CcdConfig)
-    initial_bracket: Bracket | None = None
     outer_probes: int = 8
-    outer_max_iterations: int = 200
 
     def __post_init__(self):
         if self.outer_search not in OUTER_SEARCHES:
             raise InvalidInputError(f"unknown outer search {self.outer_search!r}")
-        if self.outer_tolerance <= 0:
-            raise InvalidInputError("outer_tolerance must be positive")
+        self.search_config()  # SearchConfig checks the tolerance and the probe count
 
     def search_config(self) -> SearchConfig:
-        return SearchConfig(
-            tolerance=self.outer_tolerance,
-            max_iterations=self.outer_max_iterations,
-            probes=self.outer_probes,
-        )
+        return SearchConfig(tolerance=self.outer_tolerance, probes=self.outer_probes)
 
 
 @dataclass(frozen=True, eq=False)
 class LocusPoint:
     """One point of the curve: frozen coordinate t, the minimising beta of the
-    orthogonal subspace, and diagnostics of the inner descent."""
+    orthogonal subspace, and whether the inner descent converged."""
 
     t: float
     beta: Coefficients
     value: float
     inner_converged: bool
-    inner_evals: int
-
-
-def default_outer_axis(data: Dataset) -> int:
-    return int(np.argmax(np.abs(data.x).sum(axis=0)))
 
 
 def axes_by_influence(data: Dataset) -> list[int]:
@@ -95,6 +84,8 @@ def axes_by_influence(data: Dataset) -> list[int]:
 
 
 def default_bracket(data: Dataset) -> Bracket:
+    """A bracket so wide that a coefficient beyond it would already be
+    implausible on penalty grounds; the search validates it by expansion."""
     column_scale = float(np.abs(data.x).mean(axis=0).max())
     radius = float(np.abs(data.y).max()) / column_scale if column_scale > 0 else np.inf
     if not np.isfinite(radius) or radius <= 0:
@@ -123,7 +114,7 @@ def locus_value(
     start = warm.beta.copy() if warm is not None else np.zeros(spec.d)
     start[axis] = t
     res = ccd_descend(spec, Coefficients(start), inner)
-    return LocusPoint(t, res.beta, res.objective, res.converged, res.objective_evals)
+    return LocusPoint(t, res.beta, res.objective, res.converged)
 
 
 def sample_locus(
@@ -267,9 +258,8 @@ def _search_one_axis(
     axes) so that agreement between two axes is genuine confirmation rather
     than one search inheriting the other's branch.
     """
-    bracket = cfg.initial_bracket or default_bracket(spec.data)
     curve = _CurveEvaluator(spec, axis, cfg.inner)
-    bracket = expand_bracket(curve, bracket)
+    bracket = expand_bracket(curve, default_bracket(spec.data))
     search = ternary_min if cfg.outer_search == "ternary" else quadrature_min
     outer = search(curve, bracket, cfg.search_config())
     return curve.best, outer.rounds, curve.calls, curve.inner_failures, outer.converged
@@ -302,8 +292,6 @@ def _dense_refine(
     incumbent: LocusPoint,
     cfg: LocusConfig,
     width: float,
-    rounds: int = 4,
-    probes: int = 16,
     fan: int = 12,
 ) -> tuple[LocusPoint, int, int]:
     """Grid refinement around the incumbent's frozen coordinate.
@@ -332,11 +320,11 @@ def _dense_refine(
         if pt.value < curve.best.value:
             curve.best = pt
     w = width
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         center = curve.best.t
-        for t in np.linspace(center - w, center + w, probes):
+        for t in np.linspace(center - w, center + w, REFINE_PROBES):
             curve(float(t))
-        w *= 2.0 / (probes - 1)
+        w *= 2.0 / (REFINE_PROBES - 1)
     return curve.best, curve.calls, curve.inner_failures
 
 
@@ -344,9 +332,8 @@ def solve_locus(spec: ProblemSpec, cfg: LocusConfig | None = None) -> SolveResul
     """Global solve: outer bracket search over the curve values along an axis.
 
     Each initial bracket is expanded until it provably contains the outer
-    minimum, then searched with the configured method.  When ``outer_axis``
-    is set, only that axis is searched.  In the automatic mode axes are
-    searched in influence order, keeping the best point: the inner descent is
+    minimum, then searched with the configured method.  Axes are searched
+    in influence order, keeping the best point: the inner descent is
     exact for subspaces of at most one free variable, but with three or more
     variables it can stall on a non-global branch of the subspace's own
     halting curve, and which frozen axis suffers depends on the data.  Up to
@@ -368,7 +355,7 @@ def solve_locus(spec: ProblemSpec, cfg: LocusConfig | None = None) -> SolveResul
     """
     cfg = cfg or LocusConfig()
     t0 = time.perf_counter()
-    axes = [cfg.outer_axis] if cfg.outer_axis is not None else axes_by_influence(spec.data)
+    axes = axes_by_influence(spec.data)
 
     best: LocusPoint | None = None
     best_axis = axes[0]
@@ -404,8 +391,7 @@ def solve_locus(spec: ProblemSpec, cfg: LocusConfig | None = None) -> SolveResul
         if spec.d > 3 and confirmations >= 2:
             break
     if spec.d > 2:
-        base = cfg.initial_bracket or default_bracket(spec.data)
-        width = 0.01 * base.width
+        width = 0.01 * default_bracket(spec.data).width
         # Refinement effort follows the evidence.  When every axis search
         # lands on the same value the result is corroborated and one light
         # pass suffices; disagreement means at least one axis stalled, so
@@ -422,9 +408,7 @@ def solve_locus(spec: ProblemSpec, cfg: LocusConfig | None = None) -> SolveResul
         for _ in range(passes):
             improved = False
             for axis in refine_axes:
-                seeded = LocusPoint(
-                    float(best.beta.beta[axis]), best.beta, best.value, True, 0
-                )
+                seeded = LocusPoint(float(best.beta.beta[axis]), best.beta, best.value, True)
                 cand, refine_calls, refine_failures = _dense_refine(
                     spec, axis, seeded, cfg, width=width, fan=fan
                 )

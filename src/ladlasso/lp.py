@@ -62,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, SimplexError
-from .model import Coefficients, ProblemSpec, SolveResult, _beta_array, evaluate_objective
+from .model import Coefficients, ProblemSpec, SolveResult, evaluate_objective
 
 PIVOT_RULES = ("bland", "dantzig_with_bland_fallback")
 
@@ -138,15 +138,6 @@ def formulate(spec: ProblemSpec) -> LpStandardForm:
     cost = np.ones(2 * spec.d + 2 * spec.m)
     cost[: 2 * spec.d] = spec.lambda_eff
     return LpStandardForm(cost, spec.data.y.copy(), spec)
-
-
-def embed(lp: LpStandardForm, beta) -> np.ndarray:
-    """Feasible full-space point representing ``beta``; its cost equals the objective."""
-    b = _beta_array(lp.spec, beta)
-    r = lp.spec.data.y - lp.spec.data.x @ b
-    return np.concatenate(
-        [np.maximum(b, 0.0), np.maximum(-b, 0.0), np.maximum(r, 0.0), np.maximum(-r, 0.0)]
-    )
 
 
 def initial_basis(lp: LpStandardForm) -> np.ndarray:

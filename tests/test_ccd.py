@@ -8,7 +8,6 @@ from ladlasso.ccd import (
     CcdConfig,
     ccd_descend,
     is_axiswise_minimum,
-    perturb_restart,
     solve_ccd,
 )
 from ladlasso.fixtures import CCD_STALL_GEN, CCD_STALL_LAMBDA, ccd_stall_problem
@@ -101,18 +100,12 @@ def test_frozen_axis_is_never_moved():
     assert is_axiswise_minimum(spec, res.beta, skip=1)
 
 
-def test_bracket_line_searches_agree_with_median_ccd():
-    for line_search in ("ternary", "quadrature"):
-        spec = make_problem(seed=13, d=2, m=6, lam=0.1)
-        exact = solve_ccd(spec, CcdConfig(line_search="exact_median"))
-        approx = solve_ccd(spec, CcdConfig(line_search=line_search))
-        assert approx.objective == pytest.approx(exact.objective, rel=1e-5, abs=1e-6)
-
-
 def test_perturb_restart_reaches_neighbouring_halt_point():
     spec = ccd_stall_problem()
     stalled = solve_ccd(spec)
-    nudged = perturb_restart(spec, stalled.beta, axis=0, delta=0.5)
+    start = stalled.beta.beta.copy()
+    start[0] += 0.5
+    nudged = ccd_descend(spec, Coefficients(start))
     assert nudged.converged
     assert is_axiswise_minimum(spec, nudged.beta)
 

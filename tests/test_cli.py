@@ -99,12 +99,6 @@ class TestCheck:
         worst = max(float(r["gap_locus_ternary"]) for r in rows)
         assert worst >= 1e-5
 
-    def test_zero_instances_is_vacuously_ok(self, tmp_path, capsys):
-        out = tmp_path / "empty.csv"
-        code = main(["check", "--n-instances", "0", "--out", str(out)])
-        assert code == 0
-        assert len(read_csv_rows(out)) == 0
-
     def test_solver_crash_reports_seed_and_exits_3(self, monkeypatch, capsys):
         import ladlasso.cli as cli
 
@@ -169,6 +163,43 @@ class TestBench:
         assert all(r["wall_time_s"] == "" for r in brute_rows)
         locus_rows = [r for r in rows if r["solver"] == "locus_ternary"]
         assert locus_rows and all(r["converged"] == "true" for r in locus_rows)
+
+
+BAD_FLAGS = [
+    (["--probes", "2"], "probes must be at least 3"),
+    (["--outer-tol", "0"], "tolerance must be positive"),
+    (["--inner-tol", "0"], "sweep_tolerance must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param([command, *extra] + flags, message, id=f"{command}{'='.join(flags)}")
+        for command, extra in (("solve", ["data.csv", "--lambda", "0.1"]), ("check", []), ("bench", []))
+        for flags, message in BAD_FLAGS
+    ]
+    + [
+        pytest.param(["check", "--n-instances", "0"], "--n-instances must be at least 1",
+                     id="check--n-instances=0"),
+        pytest.param(["bench", "--repeats", "0"], "--repeats must be at least 1",
+                     id="bench--repeats=0"),
+    ],
+)
+def test_bad_flags_exit_2_before_any_instance(argv, message, tmp_path, monkeypatch, capsys):
+    import ladlasso.cli as cli
+
+    def no_instance(*args, **kw):
+        raise AssertionError("an instance was read or generated")
+
+    monkeypatch.setattr(cli, "generate", no_instance)
+    monkeypatch.setattr(cli, "read_dataset_csv", no_instance)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestGen:

@@ -10,7 +10,6 @@ from ladlasso.locus import (
     LocusPoint,
     _CurveEvaluator,
     axes_by_influence,
-    default_outer_axis,
     locus_value,
     sample_locus,
     solve_locus,
@@ -31,14 +30,14 @@ def test_single_variable_matches_median_oracle():
 def test_curve_value_at_optimal_coordinate_recovers_optimum():
     spec = make_problem(seed=14, d=2, m=8, lam=0.1)
     reference = solve_brute(spec)
-    axis = default_outer_axis(spec.data)
+    axis = axes_by_influence(spec.data)[0]
     pt = locus_value(spec, axis, float(reference.beta.beta[axis]))
     assert pt.value == pytest.approx(reference.objective, rel=1e-8)
 
 
 def test_curve_points_are_axiswise_minima_off_axis():
     spec = make_problem(seed=15, d=2, m=8, lam=0.1)
-    axis = default_outer_axis(spec.data)
+    axis = axes_by_influence(spec.data)[0]
     for t in (0.3, 0.3 + 1e-3):
         pt = locus_value(spec, axis, t)
         assert pt.inner_converged
@@ -78,7 +77,7 @@ def test_result_is_full_axiswise_minimum():
         res = solve_locus(spec)
         assert is_axiswise_minimum(spec, res.beta)
         # the searched coordinate sits on its own 1-D minimiser after the snap
-        axis = default_outer_axis(spec.data)
+        axis = axes_by_influence(spec.data)[0]
         g = axis_restriction(spec, res.beta, axis)
         t_med, _ = weighted_median_min(g)
         assert abs(t_med - res.beta.beta[axis]) <= 1e-9 * (1 + abs(t_med))
@@ -90,12 +89,6 @@ def test_outer_searches_agree():
         vt = solve_locus(spec, LocusConfig(outer_search="ternary")).objective
         vq = solve_locus(spec, LocusConfig(outer_search="quadrature")).objective
         assert vq == pytest.approx(vt, rel=1e-6, abs=1e-8)
-
-
-def test_explicit_outer_axis_is_honoured():
-    spec = make_problem(seed=44, d=3, m=6, lam=0.1)
-    res = solve_locus(spec, LocusConfig(outer_axis=2))
-    assert res.objective >= solve_brute(spec).objective - 1e-12
 
 
 def test_axes_by_influence_ordering():
@@ -124,7 +117,7 @@ class TestSampleLocus:
         # between the plain-descent stall point and the optimum
         spec = make_problem(seed=52, d=2, m=8, lam=0.1)
         reference = solve_brute(spec)
-        axis = default_outer_axis(spec.data)
+        axis = axes_by_influence(spec.data)[0]
         t_star = float(reference.beta.beta[axis])
         t_stall = float(solve_ccd(spec).beta.beta[axis])
         scale = 1.0 + abs(t_star)
@@ -152,7 +145,7 @@ def test_nearest_probe_prefers_the_first_seen_on_equal_distance():
     curve = _CurveEvaluator(spec, 0, CcdConfig())
 
     def probe(t, tag):
-        pt = LocusPoint(t, Coefficients(np.array([t, tag])), 0.0, True, 0)
+        pt = LocusPoint(t, Coefficients(np.array([t, tag])), 0.0, True)
         curve.remember(pt)
 
     assert curve._nearest(0.0) is None

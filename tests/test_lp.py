@@ -11,7 +11,6 @@ from ladlasso.lp import (
     PIVOT_RULES,
     SimplexConfig,
     dump_lp,
-    embed,
     formulate,
     initial_basis,
     simplex_minimize,
@@ -20,6 +19,15 @@ from ladlasso.lp import (
 from ladlasso.linesearch import weighted_median_min
 from ladlasso.model import axis_restriction, evaluate_objective
 from util import make_problem, rel_gap, tiny_problem
+
+
+def embed(lp, beta):
+    """Feasible full-space point representing ``beta``; its cost equals the objective."""
+    b = np.asarray(beta, dtype=float)
+    r = lp.spec.data.y - lp.spec.data.x @ b
+    return np.concatenate(
+        [np.maximum(b, 0.0), np.maximum(-b, 0.0), np.maximum(r, 0.0), np.maximum(-r, 0.0)]
+    )
 
 
 def test_formulate_single_point():

@@ -142,3 +142,10 @@ def test_validate_result_rejects_corrupt_objective():
     bad = SolveResult(Coefficients([2.0]), 1.5, "brute", 1, 1, 0.0, True)
     with pytest.raises(InvalidInputError):
         validate_result(spec, bad)
+
+
+def test_every_public_name_resolves():
+    import ladlasso
+
+    missing = [name for name in ladlasso.__all__ if not hasattr(ladlasso, name)]
+    assert missing == []

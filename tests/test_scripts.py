@@ -1,0 +1,39 @@
+"""Smoke tests: each script in ``scripts/`` runs against the current package."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from ladlasso.fixtures import CCD_STALL_OBJECTIVE
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_trace_halting_curve():
+    lines = run_script("trace_halting_curve.py", "--n", "5").splitlines()
+    assert lines[0] == "t,value,beta_0,beta_1,inner_converged"
+    assert len(lines) == 6
+    assert all(line.split(",")[-1] == "1" for line in lines[1:])
+
+
+def test_find_ccd_stall_finds_the_pinned_fixture():
+    out = run_script("find_ccd_stall.py")
+    assert "seed=0 lambda=0.01" in out
+    assert repr(CCD_STALL_OBJECTIVE) in out
+
+
+def test_solve_digest():
+    out = run_script("solve_digest.py", "--solvers", "lp")
+    assert re.fullmatch(r"[0-9a-f]{40}  200 results  solvers=lp\n", out)
