@@ -8,9 +8,9 @@ objective:
   breakpoint that still lowers the objective;
 - ``brute``: exhaustive vertex evaluation, the ground-truth oracle for
   small problems;
-- ``locus_ternary`` / ``locus_quadrature``: a two-stage search that walks
-  the locus of axis-wise minima with an outer bracket search and inner
-  restricted coordinate descent;
+- ``locus_ternary`` / ``locus_quadrature``: a two-stage search along the
+  locus of axis-wise minima (outer bracket search, inner restricted descent),
+  snapped to a vertex and stopped by a duality-gap certificate;
 - ``ccd_plain``: plain cyclical coordinate descent, which can stall at an
   axis-wise minimum that is not global.
 

@@ -64,19 +64,20 @@ def candidate_count(m: int, d: int) -> int:
 
 
 def check_enumeration_size(
-    spec: ProblemSpec,
+    m: int,
+    d: int,
     max_variables: int = DEFAULT_MAX_VARIABLES,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> int:
-    count = candidate_count(spec.m, spec.d)
-    if spec.d > max_variables:
+    """The candidate count of an m x d problem; raises if it exceeds the caps."""
+    count = candidate_count(m, d)
+    if d > max_variables:
         raise ProblemTooLargeError(
-            f"d={spec.d} exceeds the enumeration limit of {max_variables} variables"
+            f"d={d} exceeds the enumeration limit of {max_variables} variables"
         )
     if count > max_candidates:
         raise ProblemTooLargeError(
-            f"choose({spec.m + spec.d}, {spec.d}) = {count} candidate subsets "
-            f"exceeds the cap of {max_candidates}"
+            f"choose({m + d}, {d}) = {count} candidate subsets exceeds the cap of {max_candidates}"
         )
     return count
 
@@ -98,7 +99,7 @@ def enumerate_vertices(
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> Iterator[Coefficients]:
     """Stream every nonsingular d-plane intersection point."""
-    check_enumeration_size(spec, max_variables, max_candidates)
+    check_enumeration_size(spec.m, spec.d, max_variables, max_candidates)
     for sol in _vertices_raw(spec):
         yield Coefficients(sol)
 
@@ -115,7 +116,7 @@ def solve_brute(
     partitioned.  ``iterations`` and ``objective_evals`` both count the
     vertices actually evaluated (singular subsets are skipped).
     """
-    check_enumeration_size(spec, max_variables, max_candidates)
+    check_enumeration_size(spec.m, spec.d, max_variables, max_candidates)
     t0 = time.perf_counter()
     x, y = spec.data.x, spec.data.y
     lam = spec.lambda_eff

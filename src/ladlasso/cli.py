@@ -3,7 +3,7 @@
 Subcommands
 -----------
 solve   fit one dataset CSV with a chosen solver; exit 0 on convergence,
-        2 when the solver hit its budget, 1 on input errors.
+        2 when not converged (locus: not certified), 1 on input errors.
 check   run all four solvers over a seeded grid of generated instances and
         report each solver's worst relative objective gap against the
         brute-force optimum; exit 0 iff every gap is below 1e-5, 3 if any
@@ -12,8 +12,9 @@ bench   time the solvers over a (d, m) grid and write per-run and per-cell
         median CSVs suitable for plotting elsewhere.
 gen     write a synthetic dataset CSV plus a metadata sidecar.
 
-A bad flag value, including a solver tuning value the solver configs reject,
-exits 2 with a usage message before any data is read or generated.
+A bad flag value (a tuning value the solver configs reject, a negative
+lambda, d or m below 1, a ``check`` grid beyond brute force's caps) exits 2
+with a usage message before any data is read or generated.
 
 All numeric output uses full-precision scientific notation.  Result CSVs are
 byte-stable for fixed seeds and configs apart from the wall-time columns.
@@ -28,22 +29,16 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 
-from .brute import DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_VARIABLES, candidate_count, solve_brute
+from .brute import check_enumeration_size, solve_brute
 from .ccd import CcdConfig, solve_ccd
-from .datagen import (
-    GenSpec,
-    generate,
-    read_dataset_csv,
-    write_dataset_csv,
-    write_metadata,
-)
-from .errors import InvalidInputError
+from .datagen import GenSpec, generate, read_dataset_csv, write_dataset_csv, write_metadata
+from .errors import InvalidInputError, ProblemTooLargeError
 from .locus import LocusConfig, solve_locus
 from .lp import SimplexConfig, dump_lp, formulate, solve_lp
-from .model import ProblemSpec, SolveResult, validate_result
+from .model import GAP_TOL, ProblemSpec, SolveResult, check_penalty, validate_result
 from .rng import Pcg32
 
-CHECK_GAP_TOL = 1e-5
+CHECK_GAP_TOL = GAP_TOL  # the name the benchmark harness reads
 CHECK_SOLVERS = ("lp", "locus_ternary", "locus_quadrature")  # gaps vs brute
 BENCH_SOLVERS = ("lp", "brute", "locus_ternary", "locus_quadrature")
 
@@ -250,17 +245,15 @@ def cmd_bench(args) -> int:
                 )
                 spec = ProblemSpec(data, args.lam)
                 for solver_id in args.solvers:
-                    if solver_id == "brute" and (
-                        d > DEFAULT_MAX_VARIABLES
-                        or candidate_count(m, d) > DEFAULT_MAX_CANDIDATES
-                    ):
+                    started = time.perf_counter()
+                    try:
+                        res = run_solver(solver_id, spec, args)
+                    except ProblemTooLargeError:  # brute force, beyond its caps
                         rows.append(
                             dict(solver=solver_id, d=d, m=m, repeat=repeat, seed=seed,
                                  wall_time_s=None, objective=None, converged="skipped")
                         )
                         continue
-                    started = time.perf_counter()
-                    res = run_solver(solver_id, spec, args)
                     elapsed = time.perf_counter() - started
                     validate_result(spec, res)
                     rows.append(
@@ -310,15 +303,7 @@ def _medians_path(out_path: str) -> str:
 
 
 def cmd_gen(args) -> int:
-    g = GenSpec(
-        m=args.m,
-        d=args.d,
-        n_informative=args.n_informative,
-        noise_sigma=args.noise_sigma,
-        outlier_fraction=args.outlier_fraction,
-        outlier_scale=args.outlier_scale,
-        seed=args.seed,
-    )
+    g = args.genspec
     data, true_beta = generate(g)
     try:
         write_dataset_csv(data, args.out)
@@ -403,17 +388,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Raise for a flag value that would otherwise fail only after work started."""
+    if args.command == "gen":
+        args.genspec = GenSpec(  # the spec cmd_gen generates from
+            m=args.m, d=args.d, n_informative=args.n_informative, seed=args.seed,
+            noise_sigma=args.noise_sigma, outlier_fraction=args.outlier_fraction,
+            outlier_scale=args.outlier_scale,
+        )
+        return
+    _locus_config(args, "ternary")  # builds the CCD config too
+    if args.command == "solve":
+        check_penalty(args.lam, args.lambda_floor)
+        return
+    for lam in args.lam if args.command == "check" else [args.lam]:
+        check_penalty(lam)
+    for flag in ("n_instances", "repeats"):
+        if getattr(args, flag, 1) < 1:
+            raise InvalidInputError(f"--{flag.replace('_', '-')} must be at least 1")
+    # GenSpec bounds m and d from below only, so the smallest values decide
+    GenSpec(m=min(args.m), d=min(args.d), noise_sigma=args.noise_sigma,
+            outlier_fraction=args.outlier_fraction)
+    if args.command == "check":
+        check_enumeration_size(max(args.m), max(args.d))  # every instance runs brute
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "probes"):
-        try:
-            _locus_config(args, "ternary")  # builds the CCD config too
-        except InvalidInputError as exc:
-            parser.error(str(exc))
-    for flag in ("n_instances", "repeats"):
-        if getattr(args, flag, 1) < 1:
-            parser.error(f"--{flag.replace('_', '-')} must be at least 1")
+    try:
+        _check_flags(args)
+    except (InvalidInputError, ProblemTooLargeError) as exc:
+        parser.error(str(exc))
     return args.func(args)
 
 

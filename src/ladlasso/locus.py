@@ -1,46 +1,43 @@
-"""Two-stage global search over the locus of axis-wise minima.
+"""Global search over the locus of axis-wise minima, stopped by a duality gap.
 
 Plain coordinate descent on this objective can halt at a point where every
 axis-parallel direction increases yet a diagonal direction still descends.
-Such halting points are not isolated: they form a single curve through the
-coefficient space that is monotone in every coordinate, and the objective
-restricted to that curve is convex.  That structure makes a two-stage search
-sound: pick one axis, bracket-search the objective along it, and let every
-probe value be the result of a restricted coordinate descent (the probed
-coordinate frozen) which lands on the corresponding point of the curve.
+Such halting points form a single curve, monotone in every coordinate, and
+the objective restricted to it is convex.  So one axis can be bracket-searched
+with every probe valued by a restricted coordinate descent (the probed
+coordinate frozen), which lands on the corresponding point of the curve.
 
-``solve_locus`` runs the outer ternary or quadrature search, warm-starting
-inner descents from the nearest evaluated probe (neighbouring points of the
-curve are close, so this is a large speedup; results agree with cold starts
-to within tolerance, not bit-for-bit).  ``sample_locus`` traces the curve on
-a fixed grid, which is how the monotonicity and convexity claims are tested
-empirically.
+The minimum of the piecewise-linear objective sits at a vertex, where d of
+its m + d planes meet (x_i . beta = y_i, beta_j = 0).  The best probe ends
+near it, within bracket precision or where a descent stalls, so its nearest
+planes are the likely tight ones: ``solve_locus`` snaps onto their lowest
+vertex, then certifies it with a dual point u (any u with ||u||_inf <= 1 and
+||X^T u||_inf <= lambda_eff has y . u <= f*).  ``sample_locus`` traces the
+curve on a grid, to test the monotonicity and convexity claims empirically.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .brute import solve_linear_system
 from .ccd import CcdConfig, ccd_descend
 from .errors import InvalidInputError
 from .linesearch import Bracket, SearchConfig, expand_bracket, quadrature_min, ternary_min
-from .model import Coefficients, Dataset, ProblemSpec, SolveResult, evaluate_objective
-from .rng import Pcg32
+from .model import GAP_TOL, Coefficients, Dataset, ProblemSpec, SolveResult, objective_value
 
 OUTER_SEARCHES = ("ternary", "quadrature")
 
-# two axis searches landing this close count as independent confirmation;
-# the looser value is the economy short-circuit beyond the oracle-held sizes
-AXIS_AGREEMENT_RTOL = 1e-7
-ECONOMY_AGREEMENT_RTOL = 1e-6
-
-# the dense refinement's grid: rounds, and probes per round
-REFINE_ROUNDS = 4
-REFINE_PROBES = 16
+# the snap tries every vertex of the d + SNAP_SPARE planes nearest the point
+SNAP_SPARE = 3
+# a plane passes through a vertex when the vertex misses it by at most this
+# much relative to the terms of its equation (far above rounding)
+TIGHT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,8 +45,7 @@ class LocusConfig:
     """Outer-search controls; ``inner`` configures the restricted descents.
 
     ``outer_tolerance`` and ``outer_probes`` set the bracket search along each
-    axis (``SearchConfig``, which also checks them); the axes are searched in
-    influence order (see ``solve_locus``).
+    axis (``SearchConfig``, which also checks them).
     """
 
     outer_search: str = "ternary"
@@ -106,7 +102,7 @@ def locus_value(
     reported on the returned point rather than raised: the value is still a
     valid (if possibly loose) upper bound on the curve value.
     """
-    if not 0 <= axis < spec.d:
+    if axis not in range(spec.d):
         raise InvalidInputError(f"axis {axis} out of range for d={spec.d}")
     inner = inner or CcdConfig()
     if inner.frozen_axis != axis:
@@ -142,58 +138,22 @@ def sample_locus(
 
 
 class _CurveEvaluator:
-    """Evaluates the curve value at t, keeping the best of two descents.
+    """Evaluates the curve value at t with one restricted descent per probe.
 
-    Bracket searches jump across the bracket, so the previous call is often
-    far away; warm-starting the inner descent from a distant point can drag
-    it onto the wrong branch of the subspace's own halting curve.  Each probe
-    therefore descends both from the nearest previously evaluated point and
-    from the cold zero start, keeping the better result.  (For one or two
-    variables the subspace problem is at most one-dimensional, every descent
-    is exact, and the two starts agree.)
-
-    Candidate descents run at a relaxed sweep tolerance; whichever wins is
-    resumed at the configured tolerance when it comes within ``refine_margin``
-    of the incumbent, so contenders are fully converged while clearly losing
-    probes stay cheap.
-
-    Every probe descent here, the dense refinement's fan of starts included,
-    runs with ``line_steps``: a sweep that gains more than half of what the
-    previous sweep gained is a zig-zag along a ridge, and an exact step along
-    its displacement cuts it short.  The descents still stop only on a sweep
-    without gain, so probe points stay axis-wise minima of the subspace.
-    ``sample_locus`` and the final polish of ``solve_locus`` use the
-    configured inner descent as given, which by default takes no line steps.
-
-    ``remember`` records a probe point; ``seen`` lists them in the order seen,
-    and the distinct probe coordinates are also kept sorted, so the nearest
-    one is a bisection away.
+    Each probe descends from the nearest probe seen, the first from zero,
+    taking ``line_steps`` (which cut zig-zags short but still stop only on a
+    sweep without gain).  ``seen`` lists the probe points in the order seen;
+    their distinct coordinates are also kept sorted, for bisection.
     """
 
     def __init__(self, spec: ProblemSpec, axis: int, inner: CcdConfig):
         self.spec = spec
         self.axis = axis
-        # economy mode beyond the oracle-verified sizes: one start per probe
-        # and tighter sweep budgets; contenders are still refined at the
-        # configured tolerance (the budget only truncates geometric zig-zags,
-        # which the line steps mostly cut short before it is reached)
-        self.economy = spec.d > 3
-        inner = replace(inner, frozen_axis=axis, line_steps=True)
-        self.inner = (
-            replace(inner, max_sweeps=min(inner.max_sweeps, 150)) if self.economy else inner
-        )
-        self.fast_inner = replace(
-            inner,
-            sweep_tolerance=max(inner.sweep_tolerance, 1e-7),
-            max_sweeps=min(inner.max_sweeps, 40 if self.economy else 150),
-        )
-        self.refine_margin_scale = 1e-4 if self.economy else 1e-3
+        self.inner = replace(inner, frozen_axis=axis, line_steps=True)
         self.seen: list[LocusPoint] = []
         # distinct probe coordinates, ascending, each with its first-seen point
         self._ts: list[float] = []
         self._firsts: list[int] = []
-        self.calls = 0
-        self.inner_failures = 0
         self.best: LocusPoint | None = None
 
     def remember(self, pt: LocusPoint) -> None:
@@ -205,232 +165,127 @@ class _CurveEvaluator:
         self.seen.append(pt)
 
     def _nearest(self, t: float) -> Coefficients | None:
-        """The closest point seen; among equal distances the first one seen."""
-        ts = self._ts
-        if not ts:
-            return None
+        """The closest point seen; between equally close neighbours the first seen."""
+        ts, firsts = self._ts, self._firsts
         i = bisect_left(ts, t)
-        near = min(abs(ts[k] - t) for k in (i - 1, i) if 0 <= k < len(ts))
-        # rounded distances are monotone away from t, so every point at the
-        # nearest distance sits in one run on either side of i
-        first = len(self.seen)
-        k = i - 1
-        while k >= 0 and abs(ts[k] - t) == near:
-            first = min(first, self._firsts[k])
-            k -= 1
-        k = i
-        while k < len(ts) and abs(ts[k] - t) == near:
-            first = min(first, self._firsts[k])
-            k += 1
-        return self.seen[first].beta
+        near = [k for k in (i - 1, i) if 0 <= k < len(ts)]
+        if not near:
+            return None
+        k = min(near, key=lambda k: (abs(ts[k] - t), firsts[k]))
+        return self.seen[firsts[k]].beta
 
     def __call__(self, t: float) -> float:
-        warm = self._nearest(t)
-        if self.economy and warm is not None:
-            pt = locus_value(self.spec, self.axis, t, self.fast_inner, warm)
-        else:
-            pt = locus_value(self.spec, self.axis, t, self.fast_inner, None)
-            if warm is not None and self.spec.d > 2:
-                alt = locus_value(self.spec, self.axis, t, self.fast_inner, warm)
-                if alt.value < pt.value:
-                    pt = alt
-        refine_margin = (
-            self.refine_margin_scale * max(1.0, abs(self.best.value)) if self.best else np.inf
-        )
-        if self.best is None or pt.value <= self.best.value + refine_margin:
-            refined = locus_value(self.spec, self.axis, t, self.inner, pt.beta)
-            if refined.value < pt.value:
-                pt = refined
-        self.calls += 1
-        self.inner_failures += 0 if pt.inner_converged else 1
+        pt = locus_value(self.spec, self.axis, t, self.inner, self._nearest(t))
         self.remember(pt)
         if self.best is None or pt.value < self.best.value:
             self.best = pt
         return pt.value
 
 
-def _search_one_axis(
-    spec: ProblemSpec, axis: int, cfg: LocusConfig
-) -> tuple[LocusPoint, int, int, int, bool]:
-    """Outer search along one axis; returns (best point, rounds, evals, failures, converged).
+def _snap(spec: ProblemSpec, beta: np.ndarray) -> tuple[float, np.ndarray, tuple[int, ...]]:
+    """(objective, vertex, plane indices) of the lowest vertex among the
+    d + ``SNAP_SPARE`` planes nearest ``beta``; ``(inf, beta, ())`` if all
+    are singular.  Planes 0..m-1 are the rows, at distance |r_i| / ||x_i||_1,
+    and m..m+d-1 the coefficients, at |beta_j|; ties go to the lower index."""
+    x, y = spec.data.x, spec.data.y
+    d = spec.d
+    norms = np.abs(x).sum(axis=1)  # a zero row's plane is infinitely far
+    far = np.divide(np.abs(y - x @ beta), norms, out=np.full(spec.m, np.inf), where=norms > 0)
+    near = np.argsort(np.concatenate((far, np.abs(beta))), kind="stable")[: d + SNAP_SPARE]
+    normals = np.vstack((x, np.eye(d)))
+    offsets = np.append(y, np.zeros(d))
+    best = (np.inf, beta, ())
+    for subset in itertools.combinations(sorted(near.tolist()), d):
+        vertex = solve_linear_system(normals[list(subset)], offsets[list(subset)])
+        if vertex is not None:
+            f = objective_value(x, y, spec.lambda_eff, vertex)
+            if f < best[0]:
+                best = (f, vertex, subset)
+    return best
 
-    Each axis search is fully independent (no state carried over from other
-    axes) so that agreement between two axes is genuine confirmation rather
-    than one search inheriting the other's branch.
+
+def _dual_point(spec: ProblemSpec, vertex: np.ndarray, planes: tuple[int, ...]) -> np.ndarray:
+    """A dual-feasible u built at ``vertex`` from the planes through it.
+
+    T: the rows among ``planes`` or within ``TIGHT_RTOL`` of the vertex; F:
+    the coefficients neither among ``planes`` nor that close to 0.  Off T,
+    u_i = sign(r_i); u_T solves X_{T,F}^T u_T = lambda_eff sign(beta_F) -
+    X_{~T,F}^T u_{~T}, least-norm where |T| > |F| (noiseless data), pinning
+    at +-1 the rows it pushes past the box while enough rows remain.
+    Clipping u_T and scaling u by 1 / max(1, ||X^T u||_inf / lambda_eff)
+    make u feasible; at an optimal vertex neither should move it.
     """
-    curve = _CurveEvaluator(spec, axis, cfg.inner)
-    bracket = expand_bracket(curve, default_bracket(spec.data))
-    search = ternary_min if cfg.outer_search == "ternary" else quadrature_min
-    outer = search(curve, bracket, cfg.search_config())
-    return curve.best, outer.rounds, curve.calls, curve.inner_failures, outer.converged
+    x, y = spec.data.x, spec.data.y
+    lam = spec.lambda_eff
+    m = spec.m
+    r = y - x @ vertex
+    tight = np.abs(r) <= TIGHT_RTOL * (np.abs(y) + np.abs(x) @ np.abs(vertex))
+    tight[[i for i in planes if i < m]] = True
+    small = TIGHT_RTOL * float(np.abs(vertex).max())
+    free = [j for j in range(spec.d) if m + j not in planes and abs(vertex[j]) > small]
+    u = np.where(tight, 0.0, np.sign(r))
+    rows = np.flatnonzero(tight)
+    while free and rows.size >= len(free):
+        x_rf = x[np.ix_(rows, free)]
+        rhs = lam * np.sign(vertex[free]) - x[:, free].T @ u  # u is 0 on rows
+        square = rows.size == len(free)
+        u_rows = solve_linear_system(x_rf.T if square else x_rf.T @ x_rf, rhs)
+        if u_rows is None:
+            break
+        u_rows = u_rows if square else x_rf @ u_rows
+        over = np.abs(u_rows) > 1.0
+        if not over.any() or rows.size - over.sum() < len(free):
+            u[rows] = np.where(over, np.sign(u_rows), u_rows)  # clip to [-1, 1]
+            break
+        u[rows[over]] = np.sign(u_rows[over])  # pin, then spread over the rest
+        rows = rows[~over]
+    return u / max(1.0, float(np.abs(x.T @ u).max()) / lam)
 
 
-def _start_fan(incumbent: LocusPoint, axis: int, count: int) -> list[Coefficients]:
-    """Deterministic fan of descent starts spread around the incumbent.
-
-    Halting-point basins interleave at close range near the optimum, and the
-    cold and warm-chained starts can all sit in the same wrong basin.  The
-    fan perturbs every free coordinate by a reproducible PCG32 draw scaled to
-    the coordinate's magnitude, which is enough to land in neighbouring
-    basins with high probability across a dozen starts.
-    """
-    rng = Pcg32(0x5EED + axis)
-    base = incumbent.beta.beta
-    fan = []
-    for _ in range(count):
-        start = base.copy()
-        for j in range(start.size):
-            if j != axis:
-                start[j] += rng.uniform_in(-1.0, 1.0) * max(1.0, abs(base[j]))
-        fan.append(Coefficients(start))
-    return fan
-
-
-def _dense_refine(
-    spec: ProblemSpec,
-    axis: int,
-    incumbent: LocusPoint,
-    cfg: LocusConfig,
-    width: float,
-    fan: int = 12,
-) -> tuple[LocusPoint, int, int]:
-    """Grid refinement around the incumbent's frozen coordinate.
-
-    With three or more variables the measured curve is only piecewise convex
-    (inner descents switch branches at isolated coordinates), so a bracket
-    search can discard the interval holding the true minimum on the strength
-    of one comparison near a jump.  A few rounds of dense probing around the
-    winning coordinate recover such near-misses; each round re-centres on the
-    best point seen and shrinks to one grid cell.  A deterministic fan of
-    spread-out descent starts at the incumbent coordinate seeds the probing
-    with branches the chained warm starts cannot reach.
-    """
-    curve = _CurveEvaluator(spec, axis, cfg.inner)
-    curve.remember(incumbent)
-    curve.best = incumbent
-    margin = curve.refine_margin_scale * max(1.0, abs(incumbent.value))
-    for start in _start_fan(incumbent, axis, fan):
-        pt = locus_value(spec, axis, incumbent.t, curve.fast_inner, start)
-        if pt.value <= curve.best.value + margin:
-            refined = locus_value(spec, axis, incumbent.t, curve.inner, pt.beta)
-            if refined.value < pt.value:
-                pt = refined
-        curve.calls += 1
-        curve.remember(pt)
-        if pt.value < curve.best.value:
-            curve.best = pt
-    w = width
-    for _ in range(REFINE_ROUNDS):
-        center = curve.best.t
-        for t in np.linspace(center - w, center + w, REFINE_PROBES):
-            curve(float(t))
-        w *= 2.0 / (REFINE_PROBES - 1)
-    return curve.best, curve.calls, curve.inner_failures
+def certify(spec: ProblemSpec, beta) -> tuple[np.ndarray, float, float]:
+    """(point, objective, gap): the snapped vertex if no higher than ``beta``,
+    else ``beta``, and its relative duality gap (f - y . u) / f for the dual
+    point of the vertex, never below (f - f*) / f; 0 where f = 0 = f*."""
+    point = beta.beta if isinstance(beta, Coefficients) else np.asarray(beta, dtype=float)
+    value = objective_value(spec.data.x, spec.data.y, spec.lambda_eff, point)
+    f_vertex, vertex, planes = _snap(spec, point)
+    if f_vertex <= value:
+        point, value = vertex, f_vertex
+    u = _dual_point(spec, vertex, planes)
+    return point, value, (value - float(spec.data.y @ u)) / value if value > 0 else 0.0
 
 
 def solve_locus(spec: ProblemSpec, cfg: LocusConfig | None = None) -> SolveResult:
-    """Global solve: outer bracket search over the curve values along an axis.
+    """Global solve: search the curve along one axis at a time until certified.
 
-    Each initial bracket is expanded until it provably contains the outer
-    minimum, then searched with the configured method.  Axes are searched
-    in influence order, keeping the best point: the inner descent is
-    exact for subspaces of at most one free variable, but with three or more
-    variables it can stall on a non-global branch of the subspace's own
-    halting curve, and which frozen axis suffers depends on the data.  Up to
-    three variables every axis is scanned (this is the envelope on which the
-    solver is held to the exhaustive-enumeration oracle); beyond that the
-    scan short-circuits once two independent axis searches agree to a tight
-    relative tolerance, with a stalled, clearly worse axis never counting as
-    confirmation.  A dense grid refinement then recovers near-misses that a
-    bracket search can suffer on the measured (only piecewise convex) curve,
-    rotating over every coordinate of the incumbent while it keeps improving
-    (for the larger best-effort sizes: one pass on the winning axis), and one
-    unrestricted descent snaps the final point onto an exact axis-wise
-    minimum.
-
-    ``iterations`` counts outer shrink rounds summed over axes;
-    ``objective_evals`` counts curve evaluations.  The result is flagged
-    non-converged if any outer search ran out of rounds or more than 10% of
-    inner descents failed to converge.
+    Axes go in influence order.  Each bracket is expanded until it provably
+    holds the curve's minimum and then searched; the best point so far is
+    then snapped and certified (``certify``), and a gap of at most
+    ``GAP_TOL`` ends the search.  ``converged`` is exactly that test.
+    ``iterations`` counts outer rounds, ``objective_evals`` curve evaluations.
     """
     cfg = cfg or LocusConfig()
     t0 = time.perf_counter()
-    axes = axes_by_influence(spec.data)
-
-    best: LocusPoint | None = None
-    best_axis = axes[0]
-    axis_values = []
-    rounds = 0
-    calls = 0
-    failures = 0
-    outer_ok = True
-    confirmations = 0
-    for axis in axes:
-        axis_best, axis_rounds, axis_calls, axis_failures, axis_conv = _search_one_axis(
-            spec, axis, cfg
-        )
-        axis_values.append(axis_best.value)
-        rounds += axis_rounds
-        calls += axis_calls
-        failures += axis_failures
-        outer_ok = outer_ok and axis_conv
-        agree_tol = (
-            ECONOMY_AGREEMENT_RTOL if spec.d > 3 else AXIS_AGREEMENT_RTOL
-        ) * max(1.0, abs(best.value) if best else 1.0)
-        if best is None:
-            best, best_axis = axis_best, axis
-            confirmations = 1
-        elif axis_best.value < best.value - agree_tol:
-            best, best_axis = axis_best, axis  # better branch: needs fresh confirmation
-            confirmations = 1
-        elif abs(axis_best.value - best.value) <= agree_tol:
-            confirmations += 1  # independent frozen axis reproduced the value
-        # agreement can still be two axes landing on the same stalled point
-        # (a full-space halting point lies on every axis' curve), so the
-        # short-circuit only applies beyond the oracle-verified sizes
-        if spec.d > 3 and confirmations >= 2:
+    search = ternary_min if cfg.outer_search == "ternary" else quadrature_min
+    start = default_bracket(spec.data)
+    beta, value, gap = None, np.inf, np.inf
+    rounds = evals = 0
+    for axis in axes_by_influence(spec.data):
+        curve = _CurveEvaluator(spec, axis, cfg.inner)
+        outer = search(curve, expand_bracket(curve, start), cfg.search_config())
+        rounds += outer.rounds
+        evals += len(curve.seen)
+        if curve.best.value < value:
+            beta, value = curve.best.beta.beta, curve.best.value
+        beta, value, gap = certify(spec, beta)
+        if gap <= GAP_TOL:
             break
-    if spec.d > 2:
-        width = 0.01 * default_bracket(spec.data).width
-        # Refinement effort follows the evidence.  When every axis search
-        # lands on the same value the result is corroborated and one light
-        # pass suffices; disagreement means at least one axis stalled, so
-        # the refinement rotates over every coordinate with fans of
-        # scattered starts (repeating while it improves), which escapes
-        # near-optimum micro-branches no single axis reaches.  Beyond three
-        # variables a single economy pass protects the time budget.
-        spread = max(axis_values) - min(axis_values)
-        disagree = spread > AXIS_AGREEMENT_RTOL * max(1.0, abs(best.value))
-        if spec.d == 3 and disagree:
-            passes, refine_axes, fan = 4, list(range(spec.d)), 12
-        else:
-            passes, refine_axes, fan = 1, [best_axis], 0 if spec.d == 3 else 4
-        for _ in range(passes):
-            improved = False
-            for axis in refine_axes:
-                seeded = LocusPoint(float(best.beta.beta[axis]), best.beta, best.value, True)
-                cand, refine_calls, refine_failures = _dense_refine(
-                    spec, axis, seeded, cfg, width=width, fan=fan
-                )
-                calls += refine_calls
-                failures += refine_failures
-                if cand.value < best.value - 1e-9 * max(1.0, abs(best.value)):
-                    improved = True
-                if cand.value < best.value:
-                    best = cand
-            if not improved:
-                break
-    converged = outer_ok and failures <= 0.1 * calls
-    # final snap: one unrestricted descent moves the searched coordinate from
-    # its bracket-precision value onto the exact axis-wise minimum nearby
-    polish = ccd_descend(spec, best.beta, replace(cfg.inner, frozen_axis=None))
-    beta = polish.beta if polish.objective <= best.value else best.beta
     return SolveResult(
-        beta=beta,
-        objective=evaluate_objective(spec, beta),
+        beta=Coefficients(beta),
+        objective=value,
         solver_id="locus_ternary" if cfg.outer_search == "ternary" else "locus_quadrature",
         iterations=rounds,
-        objective_evals=calls,
+        objective_evals=evals,
         wall_time=time.perf_counter() - t0,
-        converged=converged,
+        converged=bool(gap <= GAP_TOL),
     )

@@ -26,6 +26,8 @@ from .linesearch import PiecewiseLinear1D
 
 DEFAULT_LAMBDA_FLOOR = 1e-9
 
+GAP_TOL = 1e-5  # relative gap to the optimum: locus certificates and `check`
+
 SOLVER_IDS = ("lp", "brute", "locus_ternary", "locus_quadrature", "ccd_plain")
 
 
@@ -83,6 +85,14 @@ class Coefficients:
         return cls(np.zeros(d))
 
 
+def check_penalty(lam: float, lambda_floor: float = DEFAULT_LAMBDA_FLOOR) -> None:
+    """Raise InvalidInputError unless lam >= 0 and lambda_floor > 0, both finite."""
+    if not np.isfinite(lam) or lam < 0:
+        raise InvalidInputError("lam must be finite and >= 0")
+    if not np.isfinite(lambda_floor) or lambda_floor <= 0:
+        raise InvalidInputError("lambda_floor must be finite and > 0")
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """A dataset plus the regularisation weight; fully determines the objective."""
@@ -92,10 +102,7 @@ class ProblemSpec:
     lambda_floor: float = DEFAULT_LAMBDA_FLOOR
 
     def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise InvalidInputError("lam must be finite and >= 0")
-        if not np.isfinite(self.lambda_floor) or self.lambda_floor <= 0:
-            raise InvalidInputError("lambda_floor must be finite and > 0")
+        check_penalty(self.lam, self.lambda_floor)
 
     @property
     def lambda_eff(self) -> float:

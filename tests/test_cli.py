@@ -184,6 +184,18 @@ BAD_FLAGS = [
                      id="check--n-instances=0"),
         pytest.param(["bench", "--repeats", "0"], "--repeats must be at least 1",
                      id="bench--repeats=0"),
+        pytest.param(["check", "--d", "0"], "need m >= 1 and d >= 1", id="check--d=0"),
+        pytest.param(["check", "--d", "9"], "d=9 exceeds the enumeration limit of 6 variables",
+                     id="check--d=9"),
+        pytest.param(["check", "--m", "0"], "need m >= 1 and d >= 1", id="check--m=0"),
+        pytest.param(["check", "--lambda", "-1"], "lam must be finite and >= 0",
+                     id="check--lambda=-1"),
+        pytest.param(["bench", "--lambda", "-1"], "lam must be finite and >= 0",
+                     id="bench--lambda=-1"),
+        pytest.param(["solve", "data.csv", "--lambda", "-1"], "lam must be finite and >= 0",
+                     id="solve--lambda=-1"),
+        pytest.param(["gen", "out.csv", "--m", "0", "--d", "1"], "need m >= 1 and d >= 1",
+                     id="gen--m=0"),
     ],
 )
 def test_bad_flags_exit_2_before_any_instance(argv, message, tmp_path, monkeypatch, capsys):

@@ -1,21 +1,31 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladlasso.brute import solve_brute
 from ladlasso.ccd import CcdConfig, is_axiswise_minimum, solve_ccd
-from ladlasso.fixtures import ccd_stall_problem
+from ladlasso.datagen import generate
+from ladlasso.fixtures import ccd_stall_problem, oracle_grid
 from ladlasso.linesearch import Bracket, weighted_median_min
 from ladlasso.locus import (
+    OUTER_SEARCHES,
     LocusConfig,
     LocusPoint,
     _CurveEvaluator,
     axes_by_influence,
+    certify,
     locus_value,
     sample_locus,
     solve_locus,
 )
-from ladlasso.model import Coefficients, axis_restriction
+from ladlasso.lp import solve_lp
+from ladlasso.model import GAP_TOL, Coefficients, ProblemSpec, axis_restriction, evaluate_objective
 from util import make_problem, rel_gap
+
+ORACLE_GRID = list(oracle_grid(200))
 
 
 def test_single_variable_matches_median_oracle():
@@ -167,3 +177,84 @@ def test_nearest_probe_prefers_the_first_seen_on_equal_distance():
     for t in np.linspace(-4.0, 4.0, 33):
         expected = min(curve.seen, key=lambda pt: abs(pt.t - t)).beta
         assert curve._nearest(float(t)) is expected
+
+
+@lru_cache(maxsize=None)
+def _oracle_problem(i, lam_zero):
+    """Oracle-grid instance ``i`` at its own lambda or at 0, and its brute-force optimum."""
+    gen, lam = ORACLE_GRID[i]
+    data, _ = generate(gen)
+    spec = ProblemSpec(data, 0.0 if lam_zero else lam)
+    return spec, solve_brute(spec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    i=st.integers(0, len(ORACLE_GRID) - 1),
+    lam_zero=st.booleans(),
+    scale=st.sampled_from((0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0)),
+    data=st.data(),
+)
+def test_certificate_never_below_the_true_gap(i, lam_zero, scale, data):
+    spec, reference = _oracle_problem(i, lam_zero)
+    step = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=spec.d, max_size=spec.d))
+    beta = reference.beta.beta + scale * np.array(step)
+    point, value, gap = certify(spec, beta)
+    assert value == evaluate_objective(spec, point)
+    assert value <= evaluate_objective(spec, beta)
+    assert gap >= (value - reference.objective) / value - 1e-12
+
+
+def test_certificate_holds_at_the_brute_force_optimum():
+    worst = 0.0
+    for i in range(len(ORACLE_GRID)):
+        for lam_zero in (False, True):
+            spec, reference = _oracle_problem(i, lam_zero)
+            _, value, gap = certify(spec, reference.beta)
+            assert value <= reference.objective
+            worst = max(worst, gap)
+    assert worst <= GAP_TOL
+
+
+@pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
+@pytest.mark.parametrize(
+    "d, m, lam, seed",
+    [
+        (3, 4, 0.1, 2947489538003098819),
+        (3, 12, 0.1, 9206505262935403616),
+        (3, 12, 1.0, 556364393903137014),
+    ],
+)
+def test_recorded_misses_are_certified(d, m, lam, seed, outer_search):
+    # benchmark instances on which the locus search once missed the optimum
+    # while still reporting convergence
+    spec = make_problem(seed=seed, d=d, m=m, lam=lam)
+    res = solve_locus(spec, LocusConfig(outer_search=outer_search))
+    assert res.converged
+    assert rel_gap(res.objective, solve_brute(spec).objective) <= GAP_TOL
+
+
+@pytest.mark.parametrize("d", (4, 5, 6, 8))
+def test_no_false_certificate_beyond_the_oracle(d):
+    # beyond brute force's reach the simplex is the reference; a locus result
+    # may be uncertified, but never certified while above the optimum
+    for seed in range(10):
+        spec = make_problem(seed=seed, d=d, m=10, lam=0.1)
+        optimum = solve_lp(spec).objective
+        for outer_search in OUTER_SEARCHES:
+            res = solve_locus(spec, LocusConfig(outer_search=outer_search))
+            above = (res.objective - optimum) / max(abs(optimum), 1e-30)
+            assert not (res.converged and above > GAP_TOL), (seed, outer_search, above)
+
+
+@pytest.mark.parametrize("lam", (0.1, 10.0))
+def test_degenerate_optimum_is_certified(lam):
+    # noiseless data puts every row through the optimum, more planes than d
+    for d in (1, 2, 3, 5):
+        for m in (10, 30):
+            spec = make_problem(seed=60 + d, d=d, m=m, lam=lam, noise=0.0, outliers=0.0)
+            optimum = solve_lp(spec)
+            point, value, gap = certify(spec, optimum.beta)
+            assert rel_gap(value, optimum.objective) <= 1e-12
+            assert gap <= GAP_TOL, (d, m)
+            assert solve_locus(spec).converged, (d, m)
