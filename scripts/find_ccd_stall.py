@@ -12,7 +12,7 @@ Usage: python scripts/find_ccd_stall.py [--max-seeds N] [--min-gap G]
 
 import argparse
 
-from ladlasso.ccd import CcdConfig, is_axiswise_minimum, solve_ccd
+from ladlasso.ccd import is_axiswise_minimum, solve_ccd
 from ladlasso.datagen import GenSpec, generate
 from ladlasso.brute import solve_brute
 from ladlasso.locus import solve_locus
@@ -33,7 +33,7 @@ def main() -> int:
         data, _ = generate(g)
         for lam in lambdas:
             spec = ProblemSpec(data, lam)
-            stalled = solve_ccd(spec, CcdConfig())
+            stalled = solve_ccd(spec)
             if not stalled.converged:
                 continue
             reference = solve_brute(spec)

@@ -14,7 +14,7 @@ Instances come from one of two grids:
 - ``--pool WORKLOAD:SEED``: the instance pool ``perfbench/run.py`` draws for
   that workload and seed, as many rounds as a 48 s run solves.
 
-Solvers run through ``cli.run_solver`` with the command line's defaults.
+Solvers run through ``cli.run_solver``.
 
 Usage, from the repository root:
 
@@ -66,7 +66,6 @@ def main() -> int:
     else:
         instances = oracle_grid(200)
     solvers = [s for s in args.solvers.split(",") if s]
-    solver_args = cli.build_parser().parse_args(["bench"])
 
     digest = hashlib.sha1()
     count = 0
@@ -74,7 +73,7 @@ def main() -> int:
         data, _ = generate(gen)
         spec = ProblemSpec(data, lam)
         for solver in solvers:
-            res = cli.run_solver(solver, spec, solver_args)
+            res = cli.run_solver(solver, spec)
             digest.update(res.beta.beta.tobytes())
             digest.update(struct.pack("<dqq", res.objective, res.iterations, res.objective_evals))
             count += 1

@@ -19,7 +19,7 @@ The package also ships a seedable synthetic data generator and a CLI
 """
 
 from .brute import enumerate_vertices, solve_brute, solve_linear_system
-from .ccd import CcdConfig, ccd_descend, is_axiswise_minimum, solve_ccd
+from .ccd import ccd_descend, is_axiswise_minimum, solve_ccd
 from .datagen import GenSpec, generate, read_dataset_csv, write_dataset_csv
 from .linesearch import (
     Bracket,
@@ -31,7 +31,7 @@ from .linesearch import (
     ternary_min,
     weighted_median_min,
 )
-from .locus import LocusConfig, LocusPoint, locus_value, sample_locus, solve_locus
+from .locus import LocusPoint, locus_value, sample_locus, solve_locus
 from .lp import LpStandardForm, SimplexConfig, dump_lp, formulate, solve_lp
 from .model import (
     Coefficients,
@@ -47,11 +47,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bracket",
-    "CcdConfig",
     "Coefficients",
     "Dataset",
     "GenSpec",
-    "LocusConfig",
     "LocusPoint",
     "LpStandardForm",
     "PiecewiseLinear1D",

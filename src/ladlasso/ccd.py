@@ -38,8 +38,6 @@ differ, which can move the cumulative weight by its last bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
@@ -54,29 +52,10 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class CcdConfig:
-    """Descent controls.
-
-    ``sweep_tolerance`` is the minimum objective decrease a full sweep must
-    achieve for the descent to continue; ``frozen_axis`` (if set) is never
-    updated.  ``line_steps`` adds an exact line step along a sweep's
-    displacement whenever that sweep gained more than half of what the
-    previous one did; it is off by default, so plain descent (``solve_ccd``,
-    ``sample_locus``) never takes one, and only the locus search's probe
-    descents switch it on.
-    """
-
-    sweep_tolerance: float = 1e-10
-    max_sweeps: int = 500
-    frozen_axis: int | None = None
-    line_steps: bool = False
-
-    def __post_init__(self):
-        if self.sweep_tolerance <= 0:
-            raise InvalidInputError("sweep_tolerance must be positive")
-        if self.max_sweeps < 1:
-            raise InvalidInputError("max_sweeps must be at least 1")
+# a descent stops at its first full sweep that lowers the objective by less
+# than SWEEP_TOL, or unconverged after MAX_SWEEPS sweeps
+SWEEP_TOL = 1e-10
+MAX_SWEEPS = 500
 
 
 class _AxisWorkspace:
@@ -140,29 +119,32 @@ def _line_step(x, y, lam, b, residual, v):
 def ccd_descend(
     spec: ProblemSpec,
     start: Coefficients,
-    cfg: CcdConfig | None = None,
+    frozen_axis: int | None = None,
+    line_steps: bool = False,
     trace: list | None = None,
 ) -> SolveResult:
     """Run cyclical coordinate descent from ``start``.
 
-    Axes are visited in fixed ascending order.  ``converged`` is True iff some
-    full sweep improved the objective by less than ``sweep_tolerance``;
-    otherwise the sweep budget ran out and the best point so far is returned.
+    Axes are visited in fixed ascending order, skipping ``frozen_axis`` (if
+    set).  ``line_steps`` adds an exact line step along a sweep's displacement
+    whenever that sweep gained more than half of what the previous one did.
+    ``converged`` is True iff some full sweep improved the objective by less
+    than ``SWEEP_TOL``; otherwise ``MAX_SWEEPS`` sweeps ran out and the best
+    point so far is returned.
     ``iterations`` counts sweeps, ``objective_evals`` counts weighted
     medians, one per coordinate update and one per line step.
     If ``trace`` is a list, the objective after every coordinate update (moved
     or not) and after every accepted line step is appended.
     """
-    cfg = cfg or CcdConfig()
     t0 = time.perf_counter()
     b = _beta_array(spec, start).copy()
-    if cfg.frozen_axis is not None and not 0 <= cfg.frozen_axis < spec.d:
-        raise InvalidInputError(f"frozen_axis {cfg.frozen_axis} out of range for d={spec.d}")
+    if frozen_axis is not None and not 0 <= frozen_axis < spec.d:
+        raise InvalidInputError(f"frozen_axis {frozen_axis} out of range for d={spec.d}")
     x, y = spec.data.x, spec.data.y
     lam = spec.lambda_eff
     residual = y - x @ b
     f_cur = float(np.abs(residual).sum() + lam * np.abs(b).sum())
-    axes = [j for j in range(spec.d) if j != cfg.frozen_axis]
+    axes = [j for j in range(spec.d) if j != frozen_axis]
     work = _axis_workspaces(spec)
     # scratch breakpoints and warm sort orders, private to this descent;
     # the penalty's breakpoint stays at 0
@@ -173,10 +155,10 @@ def ccd_descend(
     sweeps = 0
     converged = False
     prev_gain = np.inf
-    for _ in range(cfg.max_sweeps):
+    for _ in range(MAX_SWEEPS):
         sweeps += 1
         f_sweep_start = f_cur
-        b_sweep_start = b.copy() if cfg.line_steps else None
+        b_sweep_start = b.copy() if line_steps else None
         sum_abs_b = float(np.abs(b).sum())  # refresh: incremental updates may drift
         for j in axes:
             bj = float(b[j])
@@ -206,10 +188,10 @@ def ccd_descend(
             if trace is not None:
                 trace.append(f_cur)
         gain = f_sweep_start - f_cur
-        if gain < cfg.sweep_tolerance:
+        if gain < SWEEP_TOL:
             converged = True
             break
-        if cfg.line_steps and gain > 0.5 * prev_gain:
+        if line_steps and gain > 0.5 * prev_gain:
             # the sweep zig-zags: jump to the minimum along its displacement
             b_new, r_new, f_new = _line_step(x, y, lam, b, residual, b - b_sweep_start)
             evals += 1
@@ -230,9 +212,9 @@ def ccd_descend(
     )
 
 
-def solve_ccd(spec: ProblemSpec, cfg: CcdConfig | None = None) -> SolveResult:
+def solve_ccd(spec: ProblemSpec) -> SolveResult:
     """Plain descent from zero; may stall above the optimum."""
-    return ccd_descend(spec, Coefficients.zeros(spec.d), cfg)
+    return ccd_descend(spec, Coefficients.zeros(spec.d))
 
 
 def is_axiswise_minimum(

@@ -12,9 +12,9 @@ bench   time the solvers over a (d, m) grid and write per-run and per-cell
         median CSVs suitable for plotting elsewhere.
 gen     write a synthetic dataset CSV plus a metadata sidecar.
 
-A bad flag value (a tuning value the solver configs reject, a negative
-lambda, d or m below 1, a ``check`` grid beyond brute force's caps) exits 2
-with a usage message before any data is read or generated.
+A bad flag value (an unknown ``bench`` solver, a negative lambda, d or m
+below 1, a ``check`` grid beyond brute force's caps) exits 2 with a usage
+message before any data is read or generated.
 
 All numeric output uses full-precision scientific notation.  Result CSVs are
 byte-stable for fixed seeds and configs apart from the wall-time columns.
@@ -30,12 +30,12 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .brute import check_enumeration_size, solve_brute
-from .ccd import CcdConfig, solve_ccd
+from .ccd import solve_ccd
 from .datagen import GenSpec, generate, read_dataset_csv, write_dataset_csv, write_metadata
 from .errors import InvalidInputError, ProblemTooLargeError
-from .locus import LocusConfig, solve_locus
-from .lp import SimplexConfig, dump_lp, formulate, solve_lp
-from .model import GAP_TOL, ProblemSpec, SolveResult, check_penalty, validate_result
+from .locus import solve_locus
+from .lp import dump_lp, formulate, solve_lp
+from .model import GAP_TOL, SOLVER_IDS, ProblemSpec, SolveResult, check_penalty, validate_result
 from .rng import Pcg32
 
 CHECK_GAP_TOL = GAP_TOL  # the name the benchmark harness reads
@@ -47,26 +47,19 @@ def _sci(v: float) -> str:
     return f"{v:.17e}"
 
 
-def _locus_config(args, outer_search: str) -> LocusConfig:
-    return LocusConfig(
-        outer_search=outer_search,
-        outer_tolerance=args.outer_tol,
-        outer_probes=args.probes,
-        inner=CcdConfig(sweep_tolerance=args.inner_tol),
-    )
-
-
-def run_solver(solver_id: str, spec: ProblemSpec, args) -> SolveResult:
+def run_solver(solver_id: str, spec: ProblemSpec, args=None) -> SolveResult:
+    """Solve ``spec`` with ``solver_id``.  ``args`` is unused; the benchmark
+    harness passes its parsed command line."""
     if solver_id == "lp":
-        return solve_lp(spec, SimplexConfig())
+        return solve_lp(spec)
     if solver_id == "brute":
         return solve_brute(spec)
     if solver_id == "locus_ternary":
-        return solve_locus(spec, _locus_config(args, "ternary"))
+        return solve_locus(spec, "ternary")
     if solver_id == "locus_quadrature":
-        return solve_locus(spec, _locus_config(args, "quadrature"))
+        return solve_locus(spec, "quadrature")
     if solver_id == "ccd_plain":
-        return solve_ccd(spec, CcdConfig(sweep_tolerance=args.inner_tol))
+        return solve_ccd(spec)
     raise InvalidInputError(f"unknown solver {solver_id!r}")
 
 
@@ -99,7 +92,7 @@ def cmd_solve(args) -> int:
         if args.dump_lp:
             dump_lp(formulate(spec), args.dump_lp)
         started = time.perf_counter()
-        result = run_solver(args.solver, spec, args)
+        result = run_solver(args.solver, spec)
         elapsed = time.perf_counter() - started
     except (OSError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -137,9 +130,6 @@ def _check_instance_inner(task: dict) -> dict:
     g = GenSpec(**task["genspec"])
     data, _ = generate(g)
     spec = ProblemSpec(data, task["lam"])
-    args = argparse.Namespace(
-        outer_tol=task["outer_tol"], inner_tol=task["inner_tol"], probes=task["probes"]
-    )
     row = {
         "instance": task["instance"],
         "seed": g.seed,
@@ -152,7 +142,7 @@ def _check_instance_inner(task: dict) -> dict:
     row["time_brute"] = reference.wall_time
     for solver_id in CHECK_SOLVERS:
         started = time.perf_counter()
-        res = run_solver(solver_id, spec, args)
+        res = run_solver(solver_id, spec)
         elapsed = time.perf_counter() - started
         validate_result(spec, res)
         gap = abs(res.objective - reference.objective) / max(abs(reference.objective), 1e-30)
@@ -176,16 +166,7 @@ def cmd_check(args) -> int:
             outlier_fraction=args.outlier_fraction,
             seed=args.seed + 1_000_003 * (i + 1),
         )
-        tasks.append(
-            dict(
-                instance=i,
-                genspec=genspec,
-                lam=lam,
-                outer_tol=args.outer_tol,
-                inner_tol=args.inner_tol,
-                probes=args.probes,
-            )
-        )
+        tasks.append(dict(instance=i, genspec=genspec, lam=lam))
     if args.parallel > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
             rows = list(pool.map(_check_instance, tasks))
@@ -247,7 +228,7 @@ def cmd_bench(args) -> int:
                 for solver_id in args.solvers:
                     started = time.perf_counter()
                     try:
-                        res = run_solver(solver_id, spec, args)
+                        res = run_solver(solver_id, spec)
                     except ProblemTooLargeError:  # brute force, beyond its caps
                         rows.append(
                             dict(solver=solver_id, d=d, m=m, repeat=repeat, seed=seed,
@@ -322,14 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_tuning(p):
-        p.add_argument("--outer-tol", type=float, default=1e-9,
-                       help="outer bracket tolerance for the locus solvers")
-        p.add_argument("--inner-tol", type=float, default=1e-10,
-                       help="per-sweep objective tolerance for coordinate descent")
-        p.add_argument("--probes", type=int, default=8,
-                       help="probes per round for quadrature searches")
-
     p_solve = sub.add_parser("solve", help="fit one dataset CSV")
     p_solve.add_argument("dataset", help="CSV with header x1,...,xd,y")
     p_solve.add_argument("--lambda", dest="lam", type=float, required=True,
@@ -337,10 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--lambda-floor", type=float, default=1e-9,
                          help="minimum effective regularisation weight")
     p_solve.add_argument("--solver", default="locus_ternary",
-                         choices=["lp", "brute", "locus_ternary", "locus_quadrature", "ccd_plain"])
+                         choices=SOLVER_IDS)
     p_solve.add_argument("--dump-lp", metavar="PATH",
                          help="also export the standard-form LP as text")
-    add_solver_tuning(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_check = sub.add_parser("check", help="cross-solver agreement sweep vs brute force")
@@ -357,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--out", help="per-instance CSV path")
     p_check.add_argument("--parallel", type=int, default=1,
                          help="run instances in N worker processes")
-    add_solver_tuning(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_bench = sub.add_parser("bench", help="timing grid; writes runs and medians CSVs")
@@ -369,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--noise-sigma", type=float, default=0.0)
     p_bench.add_argument("--outlier-fraction", type=float, default=0.0)
     p_bench.add_argument("--solvers", type=lambda s: s.split(","), default=list(BENCH_SOLVERS),
-                         help="comma-separated subset of lp,brute,locus_ternary,locus_quadrature,ccd_plain")
+                         help=f"comma-separated subset of {','.join(SOLVER_IDS)}")
     p_bench.add_argument("--out", default="bench.csv")
-    add_solver_tuning(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="write a synthetic dataset CSV + metadata sidecar")
@@ -397,12 +367,14 @@ def _check_flags(args) -> None:
             outlier_scale=args.outlier_scale,
         )
         return
-    _locus_config(args, "ternary")  # builds the CCD config too
     if args.command == "solve":
         check_penalty(args.lam, args.lambda_floor)
         return
     for lam in args.lam if args.command == "check" else [args.lam]:
         check_penalty(lam)
+    for solver_id in getattr(args, "solvers", []):
+        if solver_id not in SOLVER_IDS:
+            raise InvalidInputError(f"unknown solver {solver_id!r}")
     for flag in ("n_instances", "repeats"):
         if getattr(args, flag, 1) < 1:
             raise InvalidInputError(f"--{flag.replace('_', '-')} must be at least 1")

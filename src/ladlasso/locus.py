@@ -21,45 +21,25 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .brute import solve_linear_system
-from .ccd import CcdConfig, ccd_descend
+from .ccd import ccd_descend
 from .errors import InvalidInputError
 from .linesearch import Bracket, SearchConfig, expand_bracket, quadrature_min, ternary_min
 from .model import GAP_TOL, Coefficients, Dataset, ProblemSpec, SolveResult, objective_value
 
 OUTER_SEARCHES = ("ternary", "quadrature")
+# the bracket search along each axis (8 probes per quadrature round)
+SEARCH = SearchConfig(tolerance=1e-9)
 
 # the snap tries every vertex of the d + SNAP_SPARE planes nearest the point
 SNAP_SPARE = 3
 # a plane passes through a vertex when the vertex misses it by at most this
 # much relative to the terms of its equation (far above rounding)
 TIGHT_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LocusConfig:
-    """Outer-search controls; ``inner`` configures the restricted descents.
-
-    ``outer_tolerance`` and ``outer_probes`` set the bracket search along each
-    axis (``SearchConfig``, which also checks them).
-    """
-
-    outer_search: str = "ternary"
-    outer_tolerance: float = 1e-9
-    inner: CcdConfig = field(default_factory=CcdConfig)
-    outer_probes: int = 8
-
-    def __post_init__(self):
-        if self.outer_search not in OUTER_SEARCHES:
-            raise InvalidInputError(f"unknown outer search {self.outer_search!r}")
-        self.search_config()  # SearchConfig checks the tolerance and the probe count
-
-    def search_config(self) -> SearchConfig:
-        return SearchConfig(tolerance=self.outer_tolerance, probes=self.outer_probes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,23 +73,21 @@ def locus_value(
     spec: ProblemSpec,
     axis: int,
     t: float,
-    inner: CcdConfig | None = None,
     warm: Coefficients | None = None,
+    line_steps: bool = False,
 ) -> LocusPoint:
     """Minimise the objective over all coordinates except ``axis`` (held at t).
 
-    Starts from ``warm`` when given, else from zero.  Inner non-convergence is
+    Starts from ``warm`` when given, else from zero, and descends with
+    ``ccd_descend`` (taking ``line_steps`` if set).  Inner non-convergence is
     reported on the returned point rather than raised: the value is still a
     valid (if possibly loose) upper bound on the curve value.
     """
     if axis not in range(spec.d):
         raise InvalidInputError(f"axis {axis} out of range for d={spec.d}")
-    inner = inner or CcdConfig()
-    if inner.frozen_axis != axis:
-        inner = replace(inner, frozen_axis=axis)
     start = warm.beta.copy() if warm is not None else np.zeros(spec.d)
     start[axis] = t
-    res = ccd_descend(spec, Coefficients(start), inner)
+    res = ccd_descend(spec, Coefficients(start), axis, line_steps)
     return LocusPoint(t, res.beta, res.objective, res.converged)
 
 
@@ -118,7 +96,6 @@ def sample_locus(
     axis: int,
     bracket: Bracket,
     n: int,
-    inner: CcdConfig | None = None,
 ) -> list[LocusPoint]:
     """Trace the curve at n equally spaced frozen-coordinate values.
 
@@ -131,7 +108,7 @@ def sample_locus(
     points: list[LocusPoint] = []
     warm: Coefficients | None = None
     for t in np.linspace(bracket.lo, bracket.hi, n):
-        pt = locus_value(spec, axis, float(t), inner, warm)
+        pt = locus_value(spec, axis, float(t), warm)
         warm = pt.beta
         points.append(pt)
     return points
@@ -146,10 +123,9 @@ class _CurveEvaluator:
     their distinct coordinates are also kept sorted, for bisection.
     """
 
-    def __init__(self, spec: ProblemSpec, axis: int, inner: CcdConfig):
+    def __init__(self, spec: ProblemSpec, axis: int):
         self.spec = spec
         self.axis = axis
-        self.inner = replace(inner, frozen_axis=axis, line_steps=True)
         self.seen: list[LocusPoint] = []
         # distinct probe coordinates, ascending, each with its first-seen point
         self._ts: list[float] = []
@@ -175,7 +151,7 @@ class _CurveEvaluator:
         return self.seen[firsts[k]].beta
 
     def __call__(self, t: float) -> float:
-        pt = locus_value(self.spec, self.axis, t, self.inner, self._nearest(t))
+        pt = locus_value(self.spec, self.axis, t, self._nearest(t), line_steps=True)
         self.remember(pt)
         if self.best is None or pt.value < self.best.value:
             self.best = pt
@@ -255,24 +231,26 @@ def certify(spec: ProblemSpec, beta) -> tuple[np.ndarray, float, float]:
     return point, value, (value - float(spec.data.y @ u)) / value if value > 0 else 0.0
 
 
-def solve_locus(spec: ProblemSpec, cfg: LocusConfig | None = None) -> SolveResult:
+def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult:
     """Global solve: search the curve along one axis at a time until certified.
 
     Axes go in influence order.  Each bracket is expanded until it provably
-    holds the curve's minimum and then searched; the best point so far is
+    holds the curve's minimum and then searched with ``SEARCH``, by
+    ``outer_search`` (one of ``OUTER_SEARCHES``); the best point so far is
     then snapped and certified (``certify``), and a gap of at most
     ``GAP_TOL`` ends the search.  ``converged`` is exactly that test.
     ``iterations`` counts outer rounds, ``objective_evals`` curve evaluations.
     """
-    cfg = cfg or LocusConfig()
+    if outer_search not in OUTER_SEARCHES:
+        raise InvalidInputError(f"unknown outer search {outer_search!r}")
     t0 = time.perf_counter()
-    search = ternary_min if cfg.outer_search == "ternary" else quadrature_min
+    search = ternary_min if outer_search == "ternary" else quadrature_min
     start = default_bracket(spec.data)
     beta, value, gap = None, np.inf, np.inf
     rounds = evals = 0
     for axis in axes_by_influence(spec.data):
-        curve = _CurveEvaluator(spec, axis, cfg.inner)
-        outer = search(curve, expand_bracket(curve, start), cfg.search_config())
+        curve = _CurveEvaluator(spec, axis)
+        outer = search(curve, expand_bracket(curve, start), SEARCH)
         rounds += outer.rounds
         evals += len(curve.seen)
         if curve.best.value < value:
@@ -283,7 +261,7 @@ def solve_locus(spec: ProblemSpec, cfg: LocusConfig | None = None) -> SolveResul
     return SolveResult(
         beta=Coefficients(beta),
         objective=value,
-        solver_id="locus_ternary" if cfg.outer_search == "ternary" else "locus_quadrature",
+        solver_id=f"locus_{outer_search}",
         iterations=rounds,
         objective_evals=evals,
         wall_time=time.perf_counter() - t0,

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from ladlasso.brute import candidate_count, solve_brute
-from ladlasso.ccd import CcdConfig, ccd_descend, is_axiswise_minimum, solve_ccd
+from ladlasso.ccd import ccd_descend, is_axiswise_minimum, solve_ccd
 from ladlasso.cli import main
 from ladlasso.datagen import GenSpec, generate
 from ladlasso.fixtures import ccd_stall_problem, oracle_grid
 from ladlasso.linesearch import Bracket
-from ladlasso.locus import LocusConfig, axes_by_influence, sample_locus, solve_locus
+from ladlasso.locus import axes_by_influence, sample_locus, solve_locus
 from ladlasso.lp import formulate, initial_basis, simplex_minimize
 from ladlasso.model import Coefficients, ProblemSpec
 from util import rel_gap
@@ -114,10 +114,10 @@ def oracle_sweep():
         reference = solve_brute(spec)
         lp = formulate(spec)
         simplex = simplex_minimize(lp)
-        ternary = solve_locus(spec, LocusConfig(outer_search="ternary"))
-        quadrature = solve_locus(spec, LocusConfig(outer_search="quadrature"))
+        ternary = solve_locus(spec, "ternary")
+        quadrature = solve_locus(spec, "quadrature")
         trace = []
-        ccd_descend(spec, Coefficients.zeros(d), CcdConfig(), trace=trace)
+        ccd_descend(spec, Coefficients.zeros(d), trace=trace)
         records.append(
             dict(
                 seed=seed,

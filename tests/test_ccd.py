@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ladlasso import ccd
 from ladlasso.brute import solve_brute
-from ladlasso.ccd import (
-    CcdConfig,
-    ccd_descend,
-    is_axiswise_minimum,
-    solve_ccd,
-)
+from ladlasso.ccd import ccd_descend, is_axiswise_minimum, solve_ccd
 from ladlasso.fixtures import CCD_STALL_GEN, CCD_STALL_LAMBDA, ccd_stall_problem
 from ladlasso.linesearch import (
     PiecewiseLinear1D,
@@ -61,7 +57,7 @@ def test_monotone_trace_every_update():
     for seed in range(8):
         spec = make_problem(seed=seed, d=3, m=8, lam=0.1)
         trace = []
-        ccd_descend(spec, Coefficients.zeros(3), CcdConfig(), trace=trace)
+        ccd_descend(spec, Coefficients.zeros(3), trace=trace)
         diffs = np.diff(np.array(trace))
         assert (diffs <= 0).all()
 
@@ -95,7 +91,7 @@ def test_axiswise_test_detects_perturbation():
 def test_frozen_axis_is_never_moved():
     spec = make_problem(seed=6, d=3, m=8, lam=0.1)
     start = Coefficients(np.array([0.0, 1.5, 0.0]))
-    res = ccd_descend(spec, start, CcdConfig(frozen_axis=1))
+    res = ccd_descend(spec, start, frozen_axis=1)
     assert res.beta.beta[1] == 1.5
     assert is_axiswise_minimum(spec, res.beta, skip=1)
 
@@ -110,9 +106,10 @@ def test_perturb_restart_reaches_neighbouring_halt_point():
     assert is_axiswise_minimum(spec, nudged.beta)
 
 
-def test_sweep_budget_flags_non_convergence():
+def test_sweep_budget_flags_non_convergence(monkeypatch):
     spec = make_problem(seed=21, d=3, m=10, lam=0.05)
-    res = ccd_descend(spec, Coefficients.zeros(3), CcdConfig(max_sweeps=1))
+    monkeypatch.setattr(ccd, "MAX_SWEEPS", 1)
+    res = ccd_descend(spec, Coefficients.zeros(3))
     assert not res.converged
 
 
@@ -134,9 +131,9 @@ def _zigzag_problem():
 def test_line_steps_cut_a_zigzag_short():
     spec = _zigzag_problem()
     start = Coefficients(np.array([0.0, 0.0, 0.0, 0.0, 8.61]))
-    plain = ccd_descend(spec, start, CcdConfig(frozen_axis=4))
+    plain = ccd_descend(spec, start, frozen_axis=4)
     trace = []
-    stepped = ccd_descend(spec, start, CcdConfig(frozen_axis=4, line_steps=True), trace=trace)
+    stepped = ccd_descend(spec, start, frozen_axis=4, line_steps=True, trace=trace)
     assert plain.converged and stepped.converged
     assert stepped.iterations < plain.iterations
     assert stepped.objective <= plain.objective
@@ -159,7 +156,7 @@ def test_interleaved_problems_match_separate_runs():
 
     def descend(spec):
         results = [
-            ccd_descend(spec, Coefficients.zeros(5), CcdConfig(frozen_axis=1, line_steps=steps))
+            ccd_descend(spec, Coefficients.zeros(5), frozen_axis=1, line_steps=steps)
             for steps in (False, True)
         ]
         for res in results:
@@ -208,7 +205,7 @@ def test_frozen_line_step_descent_is_pinned():
     # from the previous sweep's order; recorded with sorts from scratch
     spec = make_problem(seed=2, d=5, m=400, lam=0.1)
     start = Coefficients(np.array([2.0, 0.0, 0.0, 0.0, 0.0]))
-    res = ccd_descend(spec, start, CcdConfig(frozen_axis=0, line_steps=True))
+    res = ccd_descend(spec, start, frozen_axis=0, line_steps=True)
     assert res.converged
     assert res.objective == pytest.approx(1278.3967372511438, rel=1e-12)
     assert res.iterations == 12

@@ -70,8 +70,8 @@ class TestSolve:
         data.write_text("x1,y\n1.0,2.0\n")
         real = cli.run_solver
 
-        def exhausted(solver_id, spec, args):
-            return dataclasses.replace(real(solver_id, spec, args), converged=False)
+        def exhausted(solver_id, spec):
+            return dataclasses.replace(real(solver_id, spec), converged=False)
 
         monkeypatch.setattr(cli, "run_solver", exhausted)
         assert main(["solve", str(data), "--lambda", "0.5", "--solver", "brute"]) == 2
@@ -89,11 +89,15 @@ class TestCheck:
             for solver in ("lp", "locus_ternary", "locus_quadrature"):
                 assert float(row[f"gap_{solver}"]) < 1e-5
 
-    def test_loose_tolerance_is_caught(self, tmp_path, capsys):
+    def test_loose_tolerance_is_caught(self, tmp_path, monkeypatch, capsys):
         # negative control: a sloppy outer search must produce visible gaps
+        import ladlasso.locus as locus
+        from ladlasso.linesearch import SearchConfig
+
+        monkeypatch.setattr(locus, "SEARCH", SearchConfig(tolerance=0.5))
         out = tmp_path / "loose.csv"
         code = main(["check", "--d", "2", "--m", "8", "--n-instances", "10",
-                     "--seed", "3", "--outer-tol", "0.5", "--out", str(out)])
+                     "--seed", "3", "--out", str(out)])
         assert code != 0
         rows = read_csv_rows(out)
         worst = max(float(r["gap_locus_ternary"]) for r in rows)
@@ -165,21 +169,9 @@ class TestBench:
         assert locus_rows and all(r["converged"] == "true" for r in locus_rows)
 
 
-BAD_FLAGS = [
-    (["--probes", "2"], "probes must be at least 3"),
-    (["--outer-tol", "0"], "tolerance must be positive"),
-    (["--inner-tol", "0"], "sweep_tolerance must be positive"),
-]
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
-        pytest.param([command, *extra] + flags, message, id=f"{command}{'='.join(flags)}")
-        for command, extra in (("solve", ["data.csv", "--lambda", "0.1"]), ("check", []), ("bench", []))
-        for flags, message in BAD_FLAGS
-    ]
-    + [
         pytest.param(["check", "--n-instances", "0"], "--n-instances must be at least 1",
                      id="check--n-instances=0"),
         pytest.param(["bench", "--repeats", "0"], "--repeats must be at least 1",
@@ -192,6 +184,8 @@ BAD_FLAGS = [
                      id="check--lambda=-1"),
         pytest.param(["bench", "--lambda", "-1"], "lam must be finite and >= 0",
                      id="bench--lambda=-1"),
+        pytest.param(["bench", "--solvers", "lp,foo", "--d", "1", "--m", "4", "--repeats", "1"],
+                     "unknown solver 'foo'", id="bench--solvers=lp,foo"),
         pytest.param(["solve", "data.csv", "--lambda", "-1"], "lam must be finite and >= 0",
                      id="solve--lambda=-1"),
         pytest.param(["gen", "out.csv", "--m", "0", "--d", "1"], "need m >= 1 and d >= 1",

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladlasso.brute import solve_brute
-from ladlasso.ccd import CcdConfig, is_axiswise_minimum, solve_ccd
+from ladlasso.ccd import is_axiswise_minimum, solve_ccd
 from ladlasso.datagen import generate
+from ladlasso.errors import InvalidInputError
 from ladlasso.fixtures import ccd_stall_problem, oracle_grid
 from ladlasso.linesearch import Bracket, weighted_median_min
 from ladlasso.locus import (
     OUTER_SEARCHES,
-    LocusConfig,
     LocusPoint,
     _CurveEvaluator,
     axes_by_influence,
@@ -93,11 +93,16 @@ def test_result_is_full_axiswise_minimum():
         assert abs(t_med - res.beta.beta[axis]) <= 1e-9 * (1 + abs(t_med))
 
 
+def test_unknown_outer_search_is_rejected():
+    with pytest.raises(InvalidInputError, match="unknown outer search 'bisection'"):
+        solve_locus(make_problem(seed=41, d=2, m=8, lam=0.1), "bisection")
+
+
 def test_outer_searches_agree():
     for seed in (41, 42, 43):
         spec = make_problem(seed=seed, d=2, m=8, lam=0.1)
-        vt = solve_locus(spec, LocusConfig(outer_search="ternary")).objective
-        vq = solve_locus(spec, LocusConfig(outer_search="quadrature")).objective
+        vt = solve_locus(spec, "ternary").objective
+        vq = solve_locus(spec, "quadrature").objective
         assert vq == pytest.approx(vt, rel=1e-6, abs=1e-8)
 
 
@@ -152,7 +157,7 @@ class TestSampleLocus:
 
 def test_nearest_probe_prefers_the_first_seen_on_equal_distance():
     spec = make_problem(seed=3, d=2, m=6, lam=0.1)
-    curve = _CurveEvaluator(spec, 0, CcdConfig())
+    curve = _CurveEvaluator(spec, 0)
 
     def probe(t, tag):
         pt = LocusPoint(t, Coefficients(np.array([t, tag])), 0.0, True)
@@ -229,7 +234,7 @@ def test_recorded_misses_are_certified(d, m, lam, seed, outer_search):
     # benchmark instances on which the locus search once missed the optimum
     # while still reporting convergence
     spec = make_problem(seed=seed, d=d, m=m, lam=lam)
-    res = solve_locus(spec, LocusConfig(outer_search=outer_search))
+    res = solve_locus(spec, outer_search)
     assert res.converged
     assert rel_gap(res.objective, solve_brute(spec).objective) <= GAP_TOL
 
@@ -242,7 +247,7 @@ def test_no_false_certificate_beyond_the_oracle(d):
         spec = make_problem(seed=seed, d=d, m=10, lam=0.1)
         optimum = solve_lp(spec).objective
         for outer_search in OUTER_SEARCHES:
-            res = solve_locus(spec, LocusConfig(outer_search=outer_search))
+            res = solve_locus(spec, outer_search)
             above = (res.objective - optimum) / max(abs(optimum), 1e-30)
             assert not (res.converged and above > GAP_TOL), (seed, outer_search, above)
 
