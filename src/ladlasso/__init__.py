@@ -18,7 +18,7 @@ The package also ships a seedable synthetic data generator and a CLI
 (``ladlasso``) for solving, cross-checking and benchmarking.
 """
 
-from .brute import enumerate_vertices, solve_brute, solve_linear_system
+from .brute import solve_brute, solve_linear_system
 from .ccd import ccd_descend, is_axiswise_minimum, solve_ccd
 from .datagen import GenSpec, generate, read_dataset_csv, write_dataset_csv
 from .linesearch import (
@@ -61,7 +61,6 @@ __all__ = [
     "axis_restriction",
     "ccd_descend",
     "dump_lp",
-    "enumerate_vertices",
     "evaluate_objective",
     "expand_bracket",
     "formulate",

@@ -7,7 +7,8 @@ space: the m residual sign-change planes x_i . beta = y_i plus the d
 coefficient sign-change planes beta_j = 0.  So it suffices to solve every
 d-of-(m+d) plane subset and take the cheapest nonsingular solution.  The
 candidate count choose(m+d, d) explodes combinatorially, hence the hard caps.
-Subsets stream one at a time; nothing is materialised.
+Subsets stream in fixed-size chunks, each solved as one stack of systems and
+screened with one objective product; only a chunk is ever materialised.
 """
 
 from __future__ import annotations
@@ -15,48 +16,57 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from typing import Iterator
 
 import numpy as np
 
 from .errors import ProblemTooLargeError
-from .model import Coefficients, ProblemSpec, SolveResult, objective_value
+from .model import Coefficients, ProblemSpec, SolveResult, objective_value, objective_values
 
 DEFAULT_MAX_VARIABLES = 6
 DEFAULT_MAX_CANDIDATES = 2_000_000
+CHUNK_BYTES = 2 << 20  # the size of a chunk of subsets' (B x m) objective block
 
 
-def solve_linear_system(a, b, pivot_rtol: float = 1e-12) -> np.ndarray | None:
-    """Gaussian elimination with scaled partial pivoting; None when singular.
+def solve_linear_system(a, b, pivot_rtol: float = 1e-12):
+    """Gaussian elimination with scaled partial pivoting of one system, or a
+    stack (B x n x n, B x n) in which each takes the same steps, bit for bit.
 
-    A pivot below ``pivot_rtol`` times its row's infinity norm marks the
-    system singular.  Skipping such subsets is safe for vertex enumeration:
-    any degenerate vertex is reachable through another nonsingular subset.
+    A pivot below ``pivot_rtol`` times its row's infinity norm marks a system
+    singular.  Skipping such subsets is safe for vertex enumeration: any
+    degenerate vertex is reachable through another nonsingular subset.  One
+    system gives its solution or None; a stack, (solutions, singular mask).
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError(f"need a square system, got a{a.shape}, b{b.shape}")
-    row_norm = np.abs(a).max(axis=1)
-    if (row_norm == 0.0).any():
-        return None
-    for k in range(n):
-        scores = np.abs(a[k:, k]) / row_norm[k:]
-        p = k + int(np.argmax(scores))
-        if abs(a[p, k]) <= pivot_rtol * row_norm[p]:
-            return None
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-            row_norm[[k, p]] = row_norm[[p, k]]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= factors[:, None] * a[k, k:]
-        b[k + 1 :] -= factors * b[k]
-    sol = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        sol[k] = (b[k] - a[k, k + 1 :] @ sol[k + 1 :]) / a[k, k]
-    return sol
+    single = a.ndim == 2
+    if single:
+        a, b = a[None], b[None]
+    count, n = a.shape[0], a.shape[-1]
+    if a.shape != (count, n, n) or b.shape != (count, n):
+        raise ValueError(f"need square systems, got a{a.shape}, b{b.shape}")
+    rows = np.arange(count)
+    row_norm = np.abs(a).max(axis=2)
+    singular = (row_norm == 0.0).any(axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # singular junk
+        for k in range(n):
+            p = k + (np.abs(a[:, k:, k]) / row_norm[:, k:]).argmax(axis=1)
+            singular |= ~(np.abs(a[rows, p, k]) > pivot_rtol * row_norm[rows, p])
+            a[:, k], a[rows, p] = a[rows, p], a[:, k].copy()
+            b[:, k], b[rows, p] = b[rows, p], b[:, k].copy()
+            row_norm[:, k], row_norm[rows, p] = row_norm[rows, p], row_norm[:, k].copy()
+            factors = a[:, k + 1 :, k] / a[:, k, k, None]
+            a[:, k + 1 :, k:] -= factors[:, :, None] * a[:, None, k, k:]
+            b[:, k + 1 :] -= factors * b[:, k, None]
+        # each dot product summed column by column: a BLAS dot's order and
+        # fused multiply-adds could make the last bit depend on the stack
+        for k in range(n - 1, -1, -1):
+            dot = np.zeros(count)
+            for j in range(k + 1, n):
+                dot += a[:, k, j] * b[:, j]
+            b[:, k] = (b[:, k] - dot) / a[:, k, k]
+    if single:
+        return None if singular[0] else b[0]
+    return b, singular
 
 
 def candidate_count(m: int, d: int) -> int:
@@ -82,28 +92,6 @@ def check_enumeration_size(
     return count
 
 
-def _vertices_raw(spec: ProblemSpec) -> Iterator[np.ndarray]:
-    d = spec.d
-    planes = np.vstack([spec.data.x, np.eye(d)])
-    rhs = np.concatenate([spec.data.y, np.zeros(d)])
-    for subset in itertools.combinations(range(planes.shape[0]), d):
-        idx = list(subset)
-        sol = solve_linear_system(planes[idx], rhs[idx])
-        if sol is not None:
-            yield sol
-
-
-def enumerate_vertices(
-    spec: ProblemSpec,
-    max_variables: int = DEFAULT_MAX_VARIABLES,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> Iterator[Coefficients]:
-    """Stream every nonsingular d-plane intersection point."""
-    check_enumeration_size(spec.m, spec.d, max_variables, max_candidates)
-    for sol in _vertices_raw(spec):
-        yield Coefficients(sol)
-
-
 def solve_brute(
     spec: ProblemSpec,
     max_variables: int = DEFAULT_MAX_VARIABLES,
@@ -120,23 +108,28 @@ def solve_brute(
     t0 = time.perf_counter()
     x, y = spec.data.x, spec.data.y
     lam = spec.lambda_eff
-    best_beta: np.ndarray | None = None
-    best = (np.inf, np.inf, ())
+    d = spec.d
+    planes = np.vstack([x, np.eye(d)])
+    rhs = np.concatenate([y, np.zeros(d)])
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(spec.m + d), d))
+    chunk = d * max(1, CHUNK_BYTES // (8 * spec.m))
+    best = (np.inf, np.inf, ())  # (objective, L1 norm, coefficients) of the best vertex
     evaluated = 0
-    for v in _vertices_raw(spec):
-        evaluated += 1
-        obj = objective_value(x, y, lam, v)
-        if obj > best[0]:
-            continue
-        key = (obj, float(np.abs(v).sum()), tuple(v))
-        if key < best:
-            best = key
-            best_beta = v
-    if best_beta is None:
+    while (idx := np.fromiter(itertools.islice(subsets, chunk), np.intp).reshape(-1, d)).size:
+        sol, singular = solve_linear_system(planes[idx], rhs[idx])
+        vertices = sol[~singular]
+        evaluated += len(vertices)
+        # rank by ``objective_value`` only the vertices that the chunk's
+        # screen, far looser than both roundings, cannot tell from its lowest
+        screen = objective_values(x, y, lam, vertices)
+        slack = 1e-12 * (np.abs(y).sum() + np.abs(vertices) @ (np.abs(x).sum(axis=0) + lam))
+        for v in vertices[screen - slack <= min(best[0], (screen + slack).min(initial=np.inf))]:
+            best = min(best, (objective_value(x, y, lam, v), float(np.abs(v).sum()), tuple(v)))
+    if not best[2]:
         # unreachable: the all-coordinate-planes subset is always nonsingular
         raise ProblemTooLargeError("no nonsingular vertex found")
     return SolveResult(
-        beta=Coefficients(best_beta),
+        beta=Coefficients(np.array(best[2])),
         objective=best[0],
         solver_id="brute",
         iterations=evaluated,

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidInputError, UnboundedDirectionError
 
 Evaluator = Callable[[float], float]
+Done = Callable[[], bool]
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,12 +190,16 @@ class _Best:
             self.value = value
 
 
-def ternary_min(g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = None) -> SearchResult:
+def ternary_min(
+    g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = None, done: Done | None = None
+) -> SearchResult:
     """Two-interior-probe bracket search for a convex evaluator.
 
     Returns the best point evaluated (the final bracket midpoint unless an
     earlier probe was strictly better), so the result is never worse than the
-    value at the input bracket midpoint.
+    value at the input bracket midpoint.  ``done``, if given, is asked after
+    each round; once it holds the search stops there, with the rounds and
+    evaluations so far and ``converged`` set.
     """
     cfg = cfg or SearchConfig()
     lo, hi = bracket.lo, bracket.hi
@@ -217,18 +222,22 @@ def ternary_min(g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = None)
         else:
             lo = m1
         rounds += 1
+        if done is not None and done():
+            return SearchResult(best.t, best.value, rounds, evals, True, Bracket(lo, hi))
     mid = 0.5 * (lo + hi)
     best.offer(mid, g(mid))
     evals += 1
     return SearchResult(best.t, best.value, rounds, evals, (hi - lo) <= target, Bracket(lo, hi))
 
 
-def quadrature_min(g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = None) -> SearchResult:
+def quadrature_min(
+    g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = None, done: Done | None = None
+) -> SearchResult:
     """Fixed-grid bracket search: ``probes`` equally spaced interior points per
     round, then shrink to the two grid intervals adjacent to the best probe.
 
     Every round does identical work regardless of the data, and the bracket
-    width shrinks by the factor 2/(probes+1) per round.
+    width shrinks by the factor 2/(probes+1) per round; ``done`` as in ``ternary_min``.
     """
     cfg = cfg or SearchConfig()
     lo, hi = bracket.lo, bracket.hi
@@ -247,6 +256,8 @@ def quadrature_min(g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = No
         lo = max(lo, float(ts[i]) - h)
         hi = min(hi, float(ts[i]) + h)
         rounds += 1
+        if done is not None and done():
+            return SearchResult(best.t, best.value, rounds, evals, True, Bracket(lo, hi))
     mid = 0.5 * (lo + hi)
     best.offer(mid, g(mid))
     evals += 1

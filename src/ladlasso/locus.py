@@ -12,8 +12,13 @@ its m + d planes meet (x_i . beta = y_i, beta_j = 0).  The best probe ends
 near it, within bracket precision or where a descent stalls, so its nearest
 planes are the likely tight ones: ``solve_locus`` snaps onto their lowest
 vertex, then certifies it with a dual point u (any u with ||u||_inf <= 1 and
-||X^T u||_inf <= lambda_eff has y . u <= f*).  ``sample_locus`` traces the
-curve on a grid, to test the monotonicity and convexity claims empirically.
+||X^T u||_inf <= lambda_eff has y . u <= f*).  It does so after every round
+of the search, and stops at the first certified round: a GPU thread should
+do no work past a proven optimum.  A round with no better probe may mean the
+descents stall short of the curve; the lowest snapped vertex is then pivoted
+downhill along its edges, which tightens the bound and warm-starts later
+probes near the optimum.  ``sample_locus`` traces the curve on a grid, to
+test the monotonicity and convexity claims empirically.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .ccd import ccd_descend
 from .errors import InvalidInputError
 from .linesearch import Bracket, SearchConfig, expand_bracket, quadrature_min, ternary_min
 from .model import GAP_TOL, Coefficients, Dataset, ProblemSpec, SolveResult, objective_value
+from .model import objective_values
 
 OUTER_SEARCHES = ("ternary", "quadrature")
 # the bracket search along each axis (8 probes per quadrature round)
@@ -117,13 +123,14 @@ def sample_locus(
 class _CurveEvaluator:
     """Evaluates the curve value at t with one restricted descent per probe.
 
-    Each probe descends from the nearest probe seen, the first from zero,
-    taking ``line_steps`` (which cut zig-zags short but still stop only on a
+    Each probe descends from ``cert.warm``, the pivoted vertex, once there
+    is one, else from the nearest probe seen, the first from zero, taking
+    ``line_steps`` (which cut zig-zags short but still stop only on a
     sweep without gain).  ``seen`` lists the probe points in the order seen;
     their distinct coordinates are also kept sorted, for bisection.
     """
 
-    def __init__(self, spec: ProblemSpec, axis: int):
+    def __init__(self, spec: ProblemSpec, axis: int, cert: _Certificate | None = None):
         self.spec = spec
         self.axis = axis
         self.seen: list[LocusPoint] = []
@@ -131,6 +138,8 @@ class _CurveEvaluator:
         self._ts: list[float] = []
         self._firsts: list[int] = []
         self.best: LocusPoint | None = None
+        self.cert = cert if cert is not None else _Certificate(spec)
+        self._offered: LocusPoint | None = None
 
     def remember(self, pt: LocusPoint) -> None:
         ts = self._ts
@@ -151,11 +160,23 @@ class _CurveEvaluator:
         return self.seen[firsts[k]].beta
 
     def __call__(self, t: float) -> float:
-        pt = locus_value(self.spec, self.axis, t, self._nearest(t), line_steps=True)
+        warm = self.cert.warm if self.cert.warm is not None else self._nearest(t)
+        pt = locus_value(self.spec, self.axis, t, warm, line_steps=True)
         self.remember(pt)
         if self.best is None or pt.value < self.best.value:
             self.best = pt
         return pt.value
+
+    def certified(self) -> bool:
+        """Whether ``cert`` is within ``GAP_TOL``, once offered the best probe
+        if new, else pivoted: no better probe since the last check may mean
+        the descents stall short of the curve."""
+        if self.best is not self._offered:
+            self._offered = self.best
+            self.cert.offer(self.best.beta.beta)
+        else:
+            self.cert.pivot()
+        return self.cert.gap <= GAP_TOL
 
 
 def _snap(spec: ProblemSpec, beta: np.ndarray) -> tuple[float, np.ndarray, tuple[int, ...]]:
@@ -168,16 +189,40 @@ def _snap(spec: ProblemSpec, beta: np.ndarray) -> tuple[float, np.ndarray, tuple
     norms = np.abs(x).sum(axis=1)  # a zero row's plane is infinitely far
     far = np.divide(np.abs(y - x @ beta), norms, out=np.full(spec.m, np.inf), where=norms > 0)
     near = np.argsort(np.concatenate((far, np.abs(beta))), kind="stable")[: d + SNAP_SPARE]
+    subsets = np.array(list(itertools.combinations(sorted(near.tolist()), d)))
     normals = np.vstack((x, np.eye(d)))
     offsets = np.append(y, np.zeros(d))
-    best = (np.inf, beta, ())
-    for subset in itertools.combinations(sorted(near.tolist()), d):
-        vertex = solve_linear_system(normals[list(subset)], offsets[list(subset)])
-        if vertex is not None:
-            f = objective_value(x, y, spec.lambda_eff, vertex)
-            if f < best[0]:
-                best = (f, vertex, subset)
-    return best
+    vertices, singular = solve_linear_system(normals[subsets], offsets[subsets])
+    vertices[singular] = 0.0  # junk, ranked last below
+    k = int(np.where(singular, np.inf, objective_values(x, y, spec.lambda_eff, vertices)).argmin())
+    if singular[k]:
+        return np.inf, beta, ()
+    return objective_value(x, y, spec.lambda_eff, vertices[k]), vertices[k], tuple(subsets[k])
+
+
+def _pivot(spec: ProblemSpec, vertex: np.ndarray, planes: tuple[int, ...]):
+    """(objective, vertex, planes) of the lowest point on the d edges out of
+    ``vertex``, each leaving one of ``planes``: along an edge the objective is
+    a weighted sum of |s - s_i| over the planes' crossings s_i, so it is
+    lowest at their weighted median, where the crossed plane replaces the left
+    one; ``(inf, vertex, planes)`` if the planes are singular."""
+    x, y, lam, d = spec.data.x, spec.data.y, spec.lambda_eff, spec.d
+    normals = np.vstack((x, np.eye(d)))
+    stack = np.repeat(normals[list(planes)][None], d, axis=0)
+    edges, singular = solve_linear_system(stack, np.eye(d))  # row k leaves plane k
+    if singular.any():
+        return np.inf, vertex, planes
+    rate = normals @ edges.T  # (m + d) x d; a plane the edge runs along never crosses
+    gap = np.append(y, np.zeros(d)) - normals @ vertex
+    cross = np.divide(gap[:, None], rate, out=np.zeros_like(rate), where=rate != 0)
+    weight = np.abs(rate) * np.append(np.ones(spec.m), np.full(d, lam))[:, None]
+    order = np.argsort(cross, axis=0, kind="stable")
+    cum = np.cumsum(np.take_along_axis(weight, order, axis=0), axis=0)
+    hit = order[(cum >= 0.5 * cum[-1]).argmax(axis=0), np.arange(d)]
+    points = vertex + cross[hit, np.arange(d), None] * edges
+    k = int(objective_values(x, y, lam, points).argmin())
+    crossed = planes[:k] + (int(hit[k]),) + planes[k + 1 :]
+    return objective_value(x, y, lam, points[k]), points[k], crossed
 
 
 def _dual_point(spec: ProblemSpec, vertex: np.ndarray, planes: tuple[int, ...]) -> np.ndarray:
@@ -218,17 +263,71 @@ def _dual_point(spec: ProblemSpec, vertex: np.ndarray, planes: tuple[int, ...]) 
     return u / max(1.0, float(np.abs(x.T @ u).max()) / lam)
 
 
+class _Certificate:
+    """The lowest snapped point and, kept apart (a later offer may raise one
+    and not the other), the highest dual bound y . u offered so far, with
+    their relative gap (f - y . u) / f; 0 where f = 0 = f*.
+
+    ``pivot`` moves the lowest snapped vertex downhill along edges
+    (``_pivot``) until none is lower; the dual point of that vertex, ``warm``,
+    joins the bound.  The point stays the search's own until it certifies:
+    pivots tighten the bound on it and warm-start later probes, and only a
+    certified point gives way to a lower ``warm``."""
+
+    def __init__(self, spec: ProblemSpec):
+        self.spec = spec
+        self.point: np.ndarray | None = None
+        self.value, self.bound, self.gap = np.inf, -np.inf, np.inf
+        self.warm: Coefficients | None = None
+        self._warm_value = np.inf
+        self._lowest: tuple[float, np.ndarray | None, tuple[int, ...]] = (np.inf, None, ())
+
+    def offer(self, beta: np.ndarray) -> None:
+        """Snap ``beta`` and take the vertex (``beta`` if lower) and its bound."""
+        x, y = self.spec.data.x, self.spec.data.y
+        value = objective_value(x, y, self.spec.lambda_eff, beta)
+        f_vertex, vertex, planes = _snap(self.spec, beta)
+        if f_vertex <= value:
+            beta, value = vertex, f_vertex
+        if value < self.value:
+            self.point, self.value = beta, value
+        if f_vertex < self._lowest[0]:
+            self._lowest = (f_vertex, vertex, planes)
+        self._raise_bound(vertex, planes)
+
+    def pivot(self) -> None:
+        """Unless certified, pivot the lowest snapped vertex, if lower than
+        ``warm``, as above."""
+        f_vertex, vertex, planes = self._lowest
+        if not planes or f_vertex >= self._warm_value or self.gap <= GAP_TOL:
+            return
+        snapped = f_vertex
+        while (step := _pivot(self.spec, vertex, planes))[0] < f_vertex:
+            f_vertex, vertex, planes = step
+        self.warm, self._warm_value = Coefficients(vertex), f_vertex
+        if f_vertex < snapped:
+            self._raise_bound(vertex, planes)
+
+    def _raise_bound(self, vertex: np.ndarray, planes: tuple[int, ...]) -> None:
+        u = _dual_point(self.spec, vertex, planes)
+        self.bound = max(self.bound, float(self.spec.data.y @ u))
+        self._set_gap()
+        if self.gap <= GAP_TOL and self._warm_value < self.value:
+            # the point certified on its own; the lower pivoted vertex may replace it
+            self.point, self.value = self.warm.beta, self._warm_value
+            self._set_gap()
+
+    def _set_gap(self) -> None:
+        self.gap = (self.value - self.bound) / self.value if self.value > 0 else 0.0
+
+
 def certify(spec: ProblemSpec, beta) -> tuple[np.ndarray, float, float]:
     """(point, objective, gap): the snapped vertex if no higher than ``beta``,
     else ``beta``, and its relative duality gap (f - y . u) / f for the dual
     point of the vertex, never below (f - f*) / f; 0 where f = 0 = f*."""
-    point = beta.beta if isinstance(beta, Coefficients) else np.asarray(beta, dtype=float)
-    value = objective_value(spec.data.x, spec.data.y, spec.lambda_eff, point)
-    f_vertex, vertex, planes = _snap(spec, point)
-    if f_vertex <= value:
-        point, value = vertex, f_vertex
-    u = _dual_point(spec, vertex, planes)
-    return point, value, (value - float(spec.data.y @ u)) / value if value > 0 else 0.0
+    cert = _Certificate(spec)
+    cert.offer(beta.beta if isinstance(beta, Coefficients) else np.asarray(beta, dtype=float))
+    return cert.point, cert.value, cert.gap
 
 
 def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult:
@@ -236,34 +335,34 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
 
     Axes go in influence order.  Each bracket is expanded until it provably
     holds the curve's minimum and then searched with ``SEARCH``, by
-    ``outer_search`` (one of ``OUTER_SEARCHES``); the best point so far is
-    then snapped and certified (``certify``), and a gap of at most
-    ``GAP_TOL`` ends the search.  ``converged`` is exactly that test.
-    ``iterations`` counts outer rounds, ``objective_evals`` curve evaluations.
+    ``outer_search`` (one of ``OUTER_SEARCHES``).  After every round, and
+    once the search ends, the axis's best probe, if new, is snapped and
+    certified: the lowest snapped vertex and the highest dual bound from any
+    axis so far make the gap, and a gap of at most ``GAP_TOL`` ends the solve
+    at once.  A round with no better probe pivots instead (``_Certificate``).
+    ``converged`` is exactly that test.  ``iterations`` counts outer
+    rounds, ``objective_evals`` curve evaluations.
     """
     if outer_search not in OUTER_SEARCHES:
         raise InvalidInputError(f"unknown outer search {outer_search!r}")
     t0 = time.perf_counter()
     search = ternary_min if outer_search == "ternary" else quadrature_min
     start = default_bracket(spec.data)
-    beta, value, gap = None, np.inf, np.inf
+    cert = _Certificate(spec)
     rounds = evals = 0
     for axis in axes_by_influence(spec.data):
-        curve = _CurveEvaluator(spec, axis)
-        outer = search(curve, expand_bracket(curve, start), SEARCH)
+        curve = _CurveEvaluator(spec, axis, cert)
+        outer = search(curve, expand_bracket(curve, start), SEARCH, curve.certified)
         rounds += outer.rounds
         evals += len(curve.seen)
-        if curve.best.value < value:
-            beta, value = curve.best.beta.beta, curve.best.value
-        beta, value, gap = certify(spec, beta)
-        if gap <= GAP_TOL:
+        if curve.certified():
             break
     return SolveResult(
-        beta=Coefficients(beta),
-        objective=value,
+        beta=Coefficients(cert.point),
+        objective=cert.value,
         solver_id=f"locus_{outer_search}",
         iterations=rounds,
         objective_evals=evals,
         wall_time=time.perf_counter() - t0,
-        converged=bool(gap <= GAP_TOL),
+        converged=bool(cert.gap <= GAP_TOL),
     )

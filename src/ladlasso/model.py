@@ -155,6 +155,14 @@ def objective_value(x: np.ndarray, y: np.ndarray, lam_eff: float, b: np.ndarray)
     return float(np.abs(r).sum() + lam_eff * np.abs(b).sum())
 
 
+def objective_values(x: np.ndarray, y: np.ndarray, lam_eff: float, bs: np.ndarray) -> np.ndarray:
+    """``objective_value`` at each row of ``bs`` by one (B x m) product, in
+    place; it rounds differently, so rank with it and report ``objective_value``."""
+    fit = bs @ x.T
+    np.abs(np.subtract(y, fit, out=fit), out=fit)
+    return fit.sum(axis=1) + lam_eff * np.abs(bs).sum(axis=1)
+
+
 def evaluate_objective(spec: ProblemSpec, beta) -> float:
     """Exact objective value at ``beta`` (a Coefficients or a plain vector)."""
     b = _beta_array(spec, beta)

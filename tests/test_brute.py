@@ -1,17 +1,35 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ladlasso import brute
 from ladlasso.brute import (
+    DEFAULT_MAX_CANDIDATES,
+    DEFAULT_MAX_VARIABLES,
     candidate_count,
-    enumerate_vertices,
+    check_enumeration_size,
     solve_brute,
     solve_linear_system,
 )
 from ladlasso.errors import ProblemTooLargeError
-from ladlasso.model import evaluate_objective
+from ladlasso.model import Coefficients, evaluate_objective
 from util import make_problem, tiny_problem
+
+
+def enumerate_vertices(
+    spec, max_variables=DEFAULT_MAX_VARIABLES, max_candidates=DEFAULT_MAX_CANDIDATES
+):
+    """Every nonsingular d-plane intersection point, solved as one stack."""
+    check_enumeration_size(spec.m, spec.d, max_variables, max_candidates)
+    planes = np.vstack([spec.data.x, np.eye(spec.d)])
+    rhs = np.concatenate([spec.data.y, np.zeros(spec.d)])
+    subsets = np.array(list(itertools.combinations(range(planes.shape[0]), spec.d)))
+    sol, singular = solve_linear_system(planes[subsets], rhs[subsets])
+    return [Coefficients(v) for v in sol[~singular]]
 
 
 class TestLinearSolve:
@@ -38,6 +56,60 @@ class TestLinearSolve:
             solve_linear_system(np.ones((2, 3)), np.ones(2))
 
 
+    def test_pivot_below_rtol_is_singular(self):
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        assert solve_linear_system(a, [1.0, 2.0]) is None
+        assert solve_linear_system(a, [1.0, 2.0], pivot_rtol=1e-14) is not None
+        sol, singular = solve_linear_system(np.stack([a, np.eye(2)]), [[1.0, 2.0], [5.0, 6.0]])
+        assert singular.tolist() == [True, False]
+        assert sol[1].tolist() == [5.0, 6.0]
+
+    def test_rejects_mismatched_stack(self):
+        with pytest.raises(ValueError):
+            solve_linear_system(np.ones((4, 2, 2)), np.ones((3, 2)))
+
+
+@st.composite
+def system_stacks(draw):
+    """A stack of n x n systems, each random or made singular on purpose, with
+    whether it must come out singular (None where that is left to rounding)."""
+    n = draw(st.integers(1, 5))
+    kinds = ("random", "zero_row", "rank_deficient", "tiny_pivot")
+    count = draw(st.integers(1, 8))
+    entries = st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+    a = np.array(draw(st.lists(entries, min_size=count * n * n, max_size=count * n * n)))
+    b = np.array(draw(st.lists(entries, min_size=count * n, max_size=count * n)))
+    a, b = a.reshape(count, n, n), b.reshape(count, n)
+    must = []
+    for s in range(count):
+        kind = draw(st.sampled_from(kinds if n > 1 else kinds[:2]))
+        i, j = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+        if kind == "zero_row":
+            a[s, i] = 0.0
+        elif kind == "rank_deficient":
+            a[s, j] = 2.0 * a[s, i]  # exact in binary, so elimination cancels exactly
+        elif kind == "tiny_pivot":
+            a[s, j] = a[s, i]
+            a[s, j, draw(st.integers(0, n - 1))] += 1e-14
+        must.append(True if kind in ("zero_row", "rank_deficient") else None)
+    return a, b, must, draw(st.sampled_from((1e-12, 1e-6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=system_stacks())
+def test_stacked_solve_is_the_single_solve_bit_for_bit(stack):
+    a, b, must, pivot_rtol = stack
+    sol, singular = solve_linear_system(a, b, pivot_rtol)
+    assert sol.shape == b.shape and singular.shape == (len(must),)
+    for s, must_be_singular in enumerate(must):
+        one = solve_linear_system(a[s], b[s], pivot_rtol)
+        assert singular[s] == (one is None)
+        if one is not None:
+            assert sol[s].tobytes() == one.tobytes()
+        if must_be_singular:
+            assert singular[s]
+
+
 class TestEnumeration:
     def test_single_point_vertices(self):
         spec = tiny_problem([[1.0]], [2.0], 0.5)
@@ -59,8 +131,6 @@ class TestEnumeration:
         # oracle: per-subset rank check decides which subsets are solvable
         planes = np.vstack([x, np.eye(2)])
         expected = 0
-        import itertools
-
         for subset in itertools.combinations(range(6), 2):
             if np.linalg.matrix_rank(planes[list(subset)], tol=1e-9) == 2:
                 expected += 1
@@ -106,3 +176,16 @@ class TestSolveBrute:
         assert res.objective == pytest.approx(
             evaluate_objective(spec, res.beta), rel=1e-12
         )
+
+    def test_chunked_stream_agrees_with_one_chunk(self, monkeypatch):
+        # noiseless data: many subsets meet at the optimum, so the tie-break
+        # between their rounding-level differences is exercised across chunks
+        for spec in (make_problem(seed=15, d=3, m=9, lam=0.1),
+                     make_problem(seed=16, d=2, m=12, lam=0.1, noise=0.0, outliers=0.0)):
+            whole = solve_brute(spec)
+            monkeypatch.setattr(brute, "CHUNK_BYTES", 7 * 8 * spec.m)  # 7 subsets a chunk
+            chunked = solve_brute(spec)
+            monkeypatch.undo()
+            assert chunked.beta.beta.tobytes() == whole.beta.beta.tobytes()
+            assert chunked.objective == whole.objective
+            assert chunked.iterations == whole.iterations == candidate_count(spec.m, spec.d)

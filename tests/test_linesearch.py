@@ -182,3 +182,35 @@ class TestExpandBracket:
     def test_unbounded_direction_raises(self):
         with pytest.raises(UnboundedDirectionError):
             expand_bracket(lambda t: t, Bracket(0.0, 1.0), max_doublings=10)
+
+
+@pytest.mark.parametrize("search, per_round", [(ternary_min, 2), (quadrature_min, 8)])
+@pytest.mark.parametrize("stop_at", [1, 2, 6])
+def test_search_stops_at_the_first_done_round(search, per_round, stop_at):
+    probes = []
+
+    def g(t):
+        probes.append(t)
+        return abs(t - 0.3)
+
+    checks = []
+
+    def done():
+        checks.append(len(probes))
+        return len(checks) == stop_at
+
+    res = search(g, Bracket(-4.0, 10.0), SearchConfig(), done)
+    # asked once after each round, with that round's probes made
+    assert checks == [1 + per_round * k for k in range(1, stop_at + 1)]
+    assert res.rounds == stop_at
+    assert res.evals == len(probes) == 1 + per_round * stop_at
+    assert res.converged
+    assert res.value == min(abs(t - 0.3) for t in probes)
+
+
+@pytest.mark.parametrize("search", [ternary_min, quadrature_min])
+def test_search_never_done_runs_to_the_tolerance(search):
+    g = pwl([(1.5, 1.0), (-2.0, 0.5)], constant=0.25)
+    plain = search(g, Bracket(-6.0, 6.0))
+    asked = search(g, Bracket(-6.0, 6.0), None, lambda: False)
+    assert asked == plain

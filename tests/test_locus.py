@@ -10,13 +10,16 @@ from ladlasso.ccd import is_axiswise_minimum, solve_ccd
 from ladlasso.datagen import generate
 from ladlasso.errors import InvalidInputError
 from ladlasso.fixtures import ccd_stall_problem, oracle_grid
-from ladlasso.linesearch import Bracket, weighted_median_min
+from ladlasso.linesearch import Bracket, expand_bracket, ternary_min, weighted_median_min
 from ladlasso.locus import (
     OUTER_SEARCHES,
+    SEARCH,
     LocusPoint,
     _CurveEvaluator,
+    _pivot,
     axes_by_influence,
     certify,
+    default_bracket,
     locus_value,
     sample_locus,
     solve_locus,
@@ -263,3 +266,87 @@ def test_degenerate_optimum_is_certified(lam):
             assert rel_gap(value, optimum.objective) <= 1e-12
             assert gap <= GAP_TOL, (d, m)
             assert solve_locus(spec).converged, (d, m)
+
+
+@pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
+@pytest.mark.parametrize(
+    "d, m, lam, seed",
+    [
+        (3, 12, 1.0, 3808761729700978283),
+        (7, 24, 0.1, 7094737372910612495),
+        (8, 40, 0.1, 4287035506874869768),
+    ],
+)
+def test_early_stop_keeps_the_lowest_vertex_across_axes(d, m, lam, seed, outer_search):
+    # benchmark instances on which ranking the axes by probe value, not by
+    # snapped vertex, discarded a later axis's certified vertex
+    spec = make_problem(seed=seed, d=d, m=m, lam=lam)
+    res = solve_locus(spec, outer_search)
+    assert res.converged
+    assert rel_gap(res.objective, solve_lp(spec).objective) <= GAP_TOL
+
+
+@pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
+@pytest.mark.parametrize("m, seed", [(26, 19), (26, 36), (40, 11), (40, 27), (40, 37)])
+def test_recorded_d8_misses_are_certified(m, seed, outer_search):
+    # noisy d=8 instances whose search ran to the bracket tolerance and ended
+    # uncertified, above the optimum
+    spec = make_problem(seed=seed, d=8, m=m, lam=0.1)
+    res = solve_locus(spec, outer_search)
+    assert res.converged
+    assert rel_gap(res.objective, solve_lp(spec).objective) <= GAP_TOL
+
+
+def test_search_stops_at_the_first_certified_round():
+    spec = make_problem(seed=6, d=3, m=12, lam=0.1)
+    res = solve_locus(spec)
+    assert res.converged
+    # rerun the first axis, certifying after each round: the solve stopped
+    # at the first round that certified, long before the bracket tolerance
+    curve = _CurveEvaluator(spec, axes_by_influence(spec.data)[0])
+    checks = []
+
+    def done():
+        checks.append(curve.certified())
+        return checks[-1]
+
+    outer = ternary_min(curve, expand_bracket(curve, default_bracket(spec.data)), SEARCH, done)
+    assert checks[-1] and not any(checks[:-1])
+    assert outer.rounds == res.iterations == len(checks) < 10
+    assert len(curve.seen) == res.objective_evals
+    assert curve.cert.value == res.objective
+
+
+@pytest.mark.parametrize("lam_zero", (False, True))
+def test_pivots_descend_to_the_brute_force_optimum(lam_zero):
+    # from beta = 0, where the d coefficient planes meet, each pivot lands on
+    # a lower vertex that lies on the planes it names, and the descent stops
+    # only at the optimum
+    for i in range(len(ORACLE_GRID)):
+        spec, reference = _oracle_problem(i, lam_zero)
+        d, m = spec.d, spec.m
+        normals = np.vstack((spec.data.x, np.eye(d)))
+        offsets = np.append(spec.data.y, np.zeros(d))
+        value, vertex, planes = evaluate_objective(spec, np.zeros(d)), np.zeros(d), tuple(range(m, m + d))
+        while (step := _pivot(spec, vertex, planes))[0] < value:
+            value, vertex, planes = step
+            assert value == evaluate_objective(spec, vertex)
+            on = normals[list(planes)] @ vertex - offsets[list(planes)]
+            assert np.abs(on).max() <= 1e-9 * (1.0 + np.abs(offsets).max()), (i, planes)
+        assert rel_gap(value, reference.objective) <= 1e-12, i
+
+
+@pytest.mark.parametrize(
+    "m, seed",
+    [(300, 4126655609229043257), (300, 7024217522738290793), (600, 7685792467256065173)],
+)
+def test_stalled_descents_are_pivoted_past(m, seed):
+    # benchmark instances (d=5, lambda 0.1) whose probe descents stall above
+    # the curve, so the best probe stops improving: without pivots the first
+    # and last searched all five axes and ended uncertified, and the middle
+    # one took a second axis (260, 70 and 260 rounds)
+    spec = make_problem(seed=seed, d=5, m=m, lam=0.1)
+    res = solve_locus(spec)
+    assert res.converged
+    assert rel_gap(res.objective, solve_lp(spec).objective) <= 1e-12
+    assert res.iterations < 30

@@ -14,6 +14,8 @@ from ladlasso.model import (
     SolveResult,
     axis_restriction,
     evaluate_objective,
+    objective_value,
+    objective_values,
     validate_result,
 )
 from util import make_problem, tiny_problem
@@ -149,3 +151,15 @@ def test_every_public_name_resolves():
 
     missing = [name for name in ladlasso.__all__ if not hasattr(ladlasso, name)]
     assert missing == []
+
+
+def test_stacked_objective_matches_the_single_kernel():
+    spec = make_problem(seed=7, d=4, m=30, lam=0.3)
+    x, y, lam = spec.data.x, spec.data.y, spec.lambda_eff
+    bs = np.random.default_rng(7).uniform(-5, 5, (40, 4))
+    bs[0] = 0.0
+    stacked = objective_values(x, y, lam, bs)
+    single = np.array([objective_value(x, y, lam, b) for b in bs])
+    assert stacked.shape == (40,)
+    # rounding may differ, by far less than brute force's screening slack
+    assert np.abs(stacked - single).max() <= 1e-13 * single.max()
