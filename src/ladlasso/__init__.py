@@ -10,7 +10,8 @@ objective:
   small problems;
 - ``locus_ternary`` / ``locus_quadrature``: a two-stage search along the
   locus of axis-wise minima (outer bracket search, inner restricted descent),
-  snapped to a vertex and stopped by a duality-gap certificate;
+  snapped to a vertex and certified by the dual point of the simplex's final
+  basis;
 - ``ccd_plain``: plain cyclical coordinate descent, which can stall at an
   axis-wise minimum that is not global.
 
@@ -32,7 +33,7 @@ from .linesearch import (
     weighted_median_min,
 )
 from .locus import LocusPoint, locus_value, sample_locus, solve_locus
-from .lp import LpStandardForm, SimplexConfig, dump_lp, formulate, solve_lp
+from .lp import LpStandardForm, dump_lp, formulate, solve_lp
 from .model import (
     Coefficients,
     Dataset,
@@ -56,7 +57,6 @@ __all__ = [
     "ProblemSpec",
     "SearchConfig",
     "SearchResult",
-    "SimplexConfig",
     "SolveResult",
     "axis_restriction",
     "ccd_descend",

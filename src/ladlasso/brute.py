@@ -28,19 +28,16 @@ CHUNK_BYTES = 2 << 20  # the size of a chunk of subsets' (B x m) objective block
 
 
 def solve_linear_system(a, b, pivot_rtol: float = 1e-12):
-    """Gaussian elimination with scaled partial pivoting of one system, or a
-    stack (B x n x n, B x n) in which each takes the same steps, bit for bit.
+    """Gaussian elimination with scaled partial pivoting of a stack of systems
+    (B x n x n, B x n), each taking the same steps as it would alone, bit for
+    bit: (solutions, singular mask).
 
     A pivot below ``pivot_rtol`` times its row's infinity norm marks a system
     singular.  Skipping such subsets is safe for vertex enumeration: any
-    degenerate vertex is reachable through another nonsingular subset.  One
-    system gives its solution or None; a stack, (solutions, singular mask).
+    degenerate vertex is reachable through another nonsingular subset.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
-    single = a.ndim == 2
-    if single:
-        a, b = a[None], b[None]
     count, n = a.shape[0], a.shape[-1]
     if a.shape != (count, n, n) or b.shape != (count, n):
         raise ValueError(f"need square systems, got a{a.shape}, b{b.shape}")
@@ -64,8 +61,6 @@ def solve_linear_system(a, b, pivot_rtol: float = 1e-12):
             for j in range(k + 1, n):
                 dot += a[:, k, j] * b[:, j]
             b[:, k] = (b[:, k] - dot) / a[:, k, k]
-    if single:
-        return None if singular[0] else b[0]
     return b, singular
 
 

@@ -118,12 +118,12 @@ def _line_step(x, y, lam, b, residual, v):
 
 def ccd_descend(
     spec: ProblemSpec,
-    start: Coefficients,
+    start: Coefficients | np.ndarray,
     frozen_axis: int | None = None,
     line_steps: bool = False,
     trace: list | None = None,
 ) -> SolveResult:
-    """Run cyclical coordinate descent from ``start``.
+    """Run cyclical coordinate descent from ``start`` (a Coefficients or a plain vector).
 
     Axes are visited in fixed ascending order, skipping ``frozen_axis`` (if
     set).  ``line_steps`` adds an exact line step along a sweep's displacement

@@ -1,4 +1,4 @@
-"""Global search over the locus of axis-wise minima, stopped by a duality gap.
+"""Global search over the locus of axis-wise minima, certified by the simplex.
 
 Plain coordinate descent on this objective can halt at a point where every
 axis-parallel direction increases yet a diagonal direction still descends.
@@ -8,17 +8,17 @@ with every probe valued by a restricted coordinate descent (the probed
 coordinate frozen), which lands on the corresponding point of the curve.
 
 The minimum of the piecewise-linear objective sits at a vertex, where d of
-its m + d planes meet (x_i . beta = y_i, beta_j = 0).  The best probe ends
-near it, within bracket precision or where a descent stalls, so its nearest
-planes are the likely tight ones: ``solve_locus`` snaps onto their lowest
-vertex, then certifies it with a dual point u (any u with ||u||_inf <= 1 and
-||X^T u||_inf <= lambda_eff has y . u <= f*).  It does so after every round
-of the search, and stops at the first certified round: a GPU thread should
-do no work past a proven optimum.  A round with no better probe may mean the
-descents stall short of the curve; the lowest snapped vertex is then pivoted
-downhill along its edges, which tightens the bound and warm-starts later
-probes near the optimum.  ``sample_locus`` traces the curve on a grid, to
-test the monotonicity and convexity claims empirically.
+its m + d planes meet (x_i . beta = y_i, beta_j = 0).  The probes end near
+it, within bracket precision or where a descent stalls, so their nearest
+planes are the likely tight ones: after every round of the search
+``solve_locus`` snaps each new probe onto the lowest vertex of its nearest
+planes.  After the first round the simplex (``simplex_minimize``) solves
+the problem once; the dual point read off its final basis bounds the
+optimum from below.  The solve stops at the first round whose own lowest
+snapped point is within ``GAP_TOL`` of that bound: a GPU thread should do no
+work past a proven optimum.  Later probes descend from the simplex's vertex.
+``sample_locus`` traces the curve on a grid, to test the monotonicity and
+convexity claims empirically.
 """
 
 from __future__ import annotations
@@ -34,18 +34,16 @@ from .brute import solve_linear_system
 from .ccd import ccd_descend
 from .errors import InvalidInputError
 from .linesearch import Bracket, SearchConfig, expand_bracket, quadrature_min, ternary_min
+from .lp import formulate, simplex_minimize
 from .model import GAP_TOL, Coefficients, Dataset, ProblemSpec, SolveResult, objective_value
 from .model import objective_values
 
 OUTER_SEARCHES = ("ternary", "quadrature")
-# the bracket search along each axis (8 probes per quadrature round)
+# the bracket search along the axis (8 probes per quadrature round)
 SEARCH = SearchConfig(tolerance=1e-9)
 
 # the snap tries every vertex of the d + SNAP_SPARE planes nearest the point
 SNAP_SPARE = 3
-# a plane passes through a vertex when the vertex misses it by at most this
-# much relative to the terms of its equation (far above rounding)
-TIGHT_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +91,7 @@ def locus_value(
         raise InvalidInputError(f"axis {axis} out of range for d={spec.d}")
     start = warm.beta.copy() if warm is not None else np.zeros(spec.d)
     start[axis] = t
-    res = ccd_descend(spec, Coefficients(start), axis, line_steps)
+    res = ccd_descend(spec, start, axis, line_steps)
     return LocusPoint(t, res.beta, res.objective, res.converged)
 
 
@@ -123,23 +121,22 @@ def sample_locus(
 class _CurveEvaluator:
     """Evaluates the curve value at t with one restricted descent per probe.
 
-    Each probe descends from ``cert.warm``, the pivoted vertex, once there
+    Each probe descends from ``cert.warm``, the simplex's vertex, once there
     is one, else from the nearest probe seen, the first from zero, taking
     ``line_steps`` (which cut zig-zags short but still stop only on a
     sweep without gain).  ``seen`` lists the probe points in the order seen;
     their distinct coordinates are also kept sorted, for bisection.
     """
 
-    def __init__(self, spec: ProblemSpec, axis: int, cert: _Certificate | None = None):
+    def __init__(self, spec: ProblemSpec, axis: int):
         self.spec = spec
         self.axis = axis
         self.seen: list[LocusPoint] = []
         # distinct probe coordinates, ascending, each with its first-seen point
         self._ts: list[float] = []
         self._firsts: list[int] = []
-        self.best: LocusPoint | None = None
-        self.cert = cert if cert is not None else _Certificate(spec)
-        self._offered: LocusPoint | None = None
+        self.cert = _Certificate(spec)
+        self._offered = 0  # the probes seen before this were offered
 
     def remember(self, pt: LocusPoint) -> None:
         ts = self._ts
@@ -163,206 +160,156 @@ class _CurveEvaluator:
         warm = self.cert.warm if self.cert.warm is not None else self._nearest(t)
         pt = locus_value(self.spec, self.axis, t, warm, line_steps=True)
         self.remember(pt)
-        if self.best is None or pt.value < self.best.value:
-            self.best = pt
         return pt.value
 
     def certified(self) -> bool:
-        """Whether ``cert`` is within ``GAP_TOL``, once offered the best probe
-        if new, else pivoted: no better probe since the last check may mean
-        the descents stall short of the curve."""
-        if self.best is not self._offered:
-            self._offered = self.best
-            self.cert.offer(self.best.beta.beta)
-        else:
-            self.cert.pivot()
+        """Whether ``cert`` is within ``GAP_TOL``, once offered the probes
+        seen since the last check: all of them, not only the lowest, since
+        where descents stall above the curve a higher probe can lie nearer
+        the optimal vertex."""
+        if len(self.seen) > self._offered:
+            self.cert.offer(np.array([pt.beta.beta for pt in self.seen[self._offered :]]))
+            self._offered = len(self.seen)
         return self.cert.gap <= GAP_TOL
 
 
-def _snap(spec: ProblemSpec, beta: np.ndarray) -> tuple[float, np.ndarray, tuple[int, ...]]:
-    """(objective, vertex, plane indices) of the lowest vertex among the
-    d + ``SNAP_SPARE`` planes nearest ``beta``; ``(inf, beta, ())`` if all
-    are singular.  Planes 0..m-1 are the rows, at distance |r_i| / ||x_i||_1,
-    and m..m+d-1 the coefficients, at |beta_j|; ties go to the lower index."""
+def _snap(spec: ProblemSpec, betas: np.ndarray) -> tuple[float, np.ndarray]:
+    """(objective, vertex) of the lowest vertex among the d + ``SNAP_SPARE``
+    planes nearest any of the points ``betas`` (rows), all solved as one
+    stack; ``(inf, betas[0])`` if all are singular.  Planes 0..m-1 are the
+    rows, at distance |r_i| / ||x_i||_1, and m..m+d-1 the coefficients, at
+    |beta_j|; ties go to the lower index, then to the earlier point."""
     x, y = spec.data.x, spec.data.y
     d = spec.d
     norms = np.abs(x).sum(axis=1)  # a zero row's plane is infinitely far
-    far = np.divide(np.abs(y - x @ beta), norms, out=np.full(spec.m, np.inf), where=norms > 0)
-    near = np.argsort(np.concatenate((far, np.abs(beta))), kind="stable")[: d + SNAP_SPARE]
-    subsets = np.array(list(itertools.combinations(sorted(near.tolist()), d)))
+    far = np.full((len(betas), spec.m), np.inf)
+    np.divide(np.abs(y - betas @ x.T), norms, out=far, where=norms > 0)
+    near = np.argsort(np.hstack((far, np.abs(betas))), axis=1, kind="stable")[:, : d + SNAP_SPARE]
+    combos = list(itertools.combinations(range(near.shape[1]), d))
+    subsets = np.sort(near, axis=1)[:, combos].reshape(-1, d)
+    # nearby points share most of their planes: each subset once, first seen first
+    subsets = np.array(list(dict.fromkeys(map(tuple, subsets.tolist()))))
     normals = np.vstack((x, np.eye(d)))
     offsets = np.append(y, np.zeros(d))
     vertices, singular = solve_linear_system(normals[subsets], offsets[subsets])
     vertices[singular] = 0.0  # junk, ranked last below
-    k = int(np.where(singular, np.inf, objective_values(x, y, spec.lambda_eff, vertices)).argmin())
+    # ranked in blocks of one point's subsets, so the (vertices x m) block stays that size
+    blocks = np.split(vertices, range(len(combos), len(vertices), len(combos)))
+    values = np.concatenate([objective_values(x, y, spec.lambda_eff, v) for v in blocks])
+    k = int(np.where(singular, np.inf, values).argmin())
     if singular[k]:
-        return np.inf, beta, ()
-    return objective_value(x, y, spec.lambda_eff, vertices[k]), vertices[k], tuple(subsets[k])
+        return np.inf, betas[0]
+    return objective_value(x, y, spec.lambda_eff, vertices[k]), vertices[k]
 
 
-def _pivot(spec: ProblemSpec, vertex: np.ndarray, planes: tuple[int, ...]):
-    """(objective, vertex, planes) of the lowest point on the d edges out of
-    ``vertex``, each leaving one of ``planes``: along an edge the objective is
-    a weighted sum of |s - s_i| over the planes' crossings s_i, so it is
-    lowest at their weighted median, where the crossed plane replaces the left
-    one; ``(inf, vertex, planes)`` if the planes are singular."""
-    x, y, lam, d = spec.data.x, spec.data.y, spec.lambda_eff, spec.d
-    normals = np.vstack((x, np.eye(d)))
-    stack = np.repeat(normals[list(planes)][None], d, axis=0)
-    edges, singular = solve_linear_system(stack, np.eye(d))  # row k leaves plane k
-    if singular.any():
-        return np.inf, vertex, planes
-    rate = normals @ edges.T  # (m + d) x d; a plane the edge runs along never crosses
-    gap = np.append(y, np.zeros(d)) - normals @ vertex
-    cross = np.divide(gap[:, None], rate, out=np.zeros_like(rate), where=rate != 0)
-    weight = np.abs(rate) * np.append(np.ones(spec.m), np.full(d, lam))[:, None]
-    order = np.argsort(cross, axis=0, kind="stable")
-    cum = np.cumsum(np.take_along_axis(weight, order, axis=0), axis=0)
-    hit = order[(cum >= 0.5 * cum[-1]).argmax(axis=0), np.arange(d)]
-    points = vertex + cross[hit, np.arange(d), None] * edges
-    k = int(objective_values(x, y, lam, points).argmin())
-    crossed = planes[:k] + (int(hit[k]),) + planes[k + 1 :]
-    return objective_value(x, y, lam, points[k]), points[k], crossed
+def _basis_dual(spec: ProblemSpec, basis: np.ndarray) -> np.ndarray:
+    """A dual-feasible u read off a simplex basis (``lp`` variable indices).
 
-
-def _dual_point(spec: ProblemSpec, vertex: np.ndarray, planes: tuple[int, ...]) -> np.ndarray:
-    """A dual-feasible u built at ``vertex`` from the planes through it.
-
-    T: the rows among ``planes`` or within ``TIGHT_RTOL`` of the vertex; F:
-    the coefficients neither among ``planes`` nor that close to 0.  Off T,
-    u_i = sign(r_i); u_T solves X_{T,F}^T u_T = lambda_eff sign(beta_F) -
-    X_{~T,F}^T u_{~T}, least-norm where |T| > |F| (noiseless data), pinning
-    at +-1 the rows it pushes past the box while enough rows remain.
-    Clipping u_T and scaling u by 1 / max(1, ||X^T u||_inf / lambda_eff)
-    make u feasible; at an optimal vertex neither should move it.
+    u = c_B^T B^-1: u_i = +1 on the rows whose rp_i is basic, -1 where rn_i
+    is, and on the other rows, the active ones, the solution of
+    s_j x_j . u = lambda_eff for each basic coefficient part (s_j = +1 for
+    bp_j, -1 for bn_j), a square system, nonsingular as a basis is.
+    Clipped to [-1, 1] and scaled by 1 / max(1, ||X^T u||_inf / lambda_eff),
+    u is feasible whatever the basis, so y . u bounds the optimum from below
+    without resting on the simplex's stopping test; at an optimal basis
+    neither step moves it beyond rounding.
     """
-    x, y = spec.data.x, spec.data.y
-    lam = spec.lambda_eff
-    m = spec.m
-    r = y - x @ vertex
-    tight = np.abs(r) <= TIGHT_RTOL * (np.abs(y) + np.abs(x) @ np.abs(vertex))
-    tight[[i for i in planes if i < m]] = True
-    small = TIGHT_RTOL * float(np.abs(vertex).max())
-    free = [j for j in range(spec.d) if m + j not in planes and abs(vertex[j]) > small]
-    u = np.where(tight, 0.0, np.sign(r))
-    rows = np.flatnonzero(tight)
-    while free and rows.size >= len(free):
-        x_rf = x[np.ix_(rows, free)]
-        rhs = lam * np.sign(vertex[free]) - x[:, free].T @ u  # u is 0 on rows
-        square = rows.size == len(free)
-        u_rows = solve_linear_system(x_rf.T if square else x_rf.T @ x_rf, rhs)
-        if u_rows is None:
-            break
-        u_rows = u_rows if square else x_rf @ u_rows
-        over = np.abs(u_rows) > 1.0
-        if not over.any() or rows.size - over.sum() < len(free):
-            u[rows] = np.where(over, np.sign(u_rows), u_rows)  # clip to [-1, 1]
-            break
-        u[rows[over]] = np.sign(u_rows[over])  # pin, then spread over the rest
-        rows = rows[~over]
+    x, lam, d, m = spec.data.x, spec.lambda_eff, spec.d, spec.m
+    residuals = basis[basis >= 2 * d] - 2 * d
+    u = np.zeros(m)
+    u[residuals % m] = np.where(residuals < m, 1.0, -1.0)
+    parts = basis[basis < 2 * d]
+    if parts.size:
+        active = np.ones(m, dtype=bool)
+        active[residuals % m] = False
+        cols, s = parts % d, np.where(parts < d, 1.0, -1.0)
+        # u is 0 on the active rows, so x[:, cols].T @ u sums the others
+        a = s[:, None] * x[active][:, cols].T
+        u[active] = np.clip(np.linalg.solve(a, lam - s * (x[:, cols].T @ u)), -1.0, 1.0)
     return u / max(1.0, float(np.abs(x.T @ u).max()) / lam)
 
 
 class _Certificate:
-    """The lowest snapped point and, kept apart (a later offer may raise one
-    and not the other), the highest dual bound y . u offered so far, with
-    their relative gap (f - y . u) / f; 0 where f = 0 = f*.
+    """The lowest snapped point offered so far, a lower bound on the optimum
+    and their relative gap (f - bound) / f; 0 where f = 0 = f*.
 
-    ``pivot`` moves the lowest snapped vertex downhill along edges
-    (``_pivot``) until none is lower; the dual point of that vertex, ``warm``,
-    joins the bound.  The point stays the search's own until it certifies:
-    pivots tighten the bound on it and warm-start later probes, and only a
-    certified point gives way to a lower ``warm``."""
+    The first offer runs the simplex (``simplex_minimize``) once.  If it
+    converges, the dual point of its final basis (``_basis_dual``) gives the
+    bound y . u, and its vertex gives ``warm``, from which later probes
+    descend.  Each offer snaps its points to the lowest nearby vertex.  The
+    point stays the search's own until it certifies: only a certified point
+    gives way to a lower ``warm``, so a sloppy search stays visible."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self.point: np.ndarray | None = None
-        self.value, self.bound, self.gap = np.inf, -np.inf, np.inf
+        self.value, self.bound = np.inf, -np.inf
         self.warm: Coefficients | None = None
         self._warm_value = np.inf
-        self._lowest: tuple[float, np.ndarray | None, tuple[int, ...]] = (np.inf, None, ())
 
-    def offer(self, beta: np.ndarray) -> None:
-        """Snap ``beta`` and take the vertex (``beta`` if lower) and its bound."""
-        x, y = self.spec.data.x, self.spec.data.y
-        value = objective_value(x, y, self.spec.lambda_eff, beta)
-        f_vertex, vertex, planes = _snap(self.spec, beta)
+    def offer(self, betas: np.ndarray) -> None:
+        """Snap the points ``betas`` (rows) and take the vertex (the lowest
+        point if lower); the first offer runs the simplex first."""
+        x, y, lam = self.spec.data.x, self.spec.data.y, self.spec.lambda_eff
+        if self.point is None:
+            sol = simplex_minimize(formulate(self.spec))
+            if sol.converged:
+                d = self.spec.d
+                self.warm = Coefficients(sol.x[:d] - sol.x[d : 2 * d])
+                self._warm_value = objective_value(x, y, lam, self.warm.beta)
+                self.bound = float(y @ _basis_dual(self.spec, sol.basis))
+        beta = betas[int(objective_values(x, y, lam, betas).argmin())]
+        value = objective_value(x, y, lam, beta)
+        f_vertex, vertex = _snap(self.spec, betas)
         if f_vertex <= value:
             beta, value = vertex, f_vertex
         if value < self.value:
             self.point, self.value = beta, value
-        if f_vertex < self._lowest[0]:
-            self._lowest = (f_vertex, vertex, planes)
-        self._raise_bound(vertex, planes)
-
-    def pivot(self) -> None:
-        """Unless certified, pivot the lowest snapped vertex, if lower than
-        ``warm``, as above."""
-        f_vertex, vertex, planes = self._lowest
-        if not planes or f_vertex >= self._warm_value or self.gap <= GAP_TOL:
-            return
-        snapped = f_vertex
-        while (step := _pivot(self.spec, vertex, planes))[0] < f_vertex:
-            f_vertex, vertex, planes = step
-        self.warm, self._warm_value = Coefficients(vertex), f_vertex
-        if f_vertex < snapped:
-            self._raise_bound(vertex, planes)
-
-    def _raise_bound(self, vertex: np.ndarray, planes: tuple[int, ...]) -> None:
-        u = _dual_point(self.spec, vertex, planes)
-        self.bound = max(self.bound, float(self.spec.data.y @ u))
-        self._set_gap()
         if self.gap <= GAP_TOL and self._warm_value < self.value:
-            # the point certified on its own; the lower pivoted vertex may replace it
+            # the point certified on its own; the lower simplex vertex may replace it
             self.point, self.value = self.warm.beta, self._warm_value
-            self._set_gap()
 
-    def _set_gap(self) -> None:
-        self.gap = (self.value - self.bound) / self.value if self.value > 0 else 0.0
+    @property
+    def gap(self) -> float:
+        return (self.value - self.bound) / self.value if self.value > 0 else 0.0
 
 
 def certify(spec: ProblemSpec, beta) -> tuple[np.ndarray, float, float]:
     """(point, objective, gap): the snapped vertex if no higher than ``beta``,
-    else ``beta``, and its relative duality gap (f - y . u) / f for the dual
-    point of the vertex, never below (f - f*) / f; 0 where f = 0 = f*."""
+    else ``beta``, and its relative gap (f - y . u) / f to the dual point of
+    the simplex's final basis, never below (f - f*) / f; 0 where f = 0 = f*."""
     cert = _Certificate(spec)
-    cert.offer(beta.beta if isinstance(beta, Coefficients) else np.asarray(beta, dtype=float))
+    cert.offer(np.array([beta.beta if isinstance(beta, Coefficients) else beta], dtype=float))
     return cert.point, cert.value, cert.gap
 
 
 def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult:
-    """Global solve: search the curve along one axis at a time until certified.
+    """Global solve: search the curve along the most influential axis.
 
-    Axes go in influence order.  Each bracket is expanded until it provably
-    holds the curve's minimum and then searched with ``SEARCH``, by
-    ``outer_search`` (one of ``OUTER_SEARCHES``).  After every round, and
-    once the search ends, the axis's best probe, if new, is snapped and
-    certified: the lowest snapped vertex and the highest dual bound from any
-    axis so far make the gap, and a gap of at most ``GAP_TOL`` ends the solve
-    at once.  A round with no better probe pivots instead (``_Certificate``).
-    ``converged`` is exactly that test.  ``iterations`` counts outer
-    rounds, ``objective_evals`` curve evaluations.
+    The bracket is expanded until it provably holds the curve's minimum and
+    then searched with ``SEARCH``, by ``outer_search`` (one of
+    ``OUTER_SEARCHES``).  After every round, and once the search ends, the
+    new probes are snapped (``_Certificate``); the first round whose lowest
+    snapped point is within ``GAP_TOL`` of the simplex's dual bound ends the
+    solve.  ``converged`` is exactly that test, and a search that ends
+    without it returns its own point uncertified.  ``iterations`` counts
+    outer rounds, ``objective_evals`` curve evaluations.
     """
     if outer_search not in OUTER_SEARCHES:
         raise InvalidInputError(f"unknown outer search {outer_search!r}")
     t0 = time.perf_counter()
     search = ternary_min if outer_search == "ternary" else quadrature_min
-    start = default_bracket(spec.data)
-    cert = _Certificate(spec)
-    rounds = evals = 0
-    for axis in axes_by_influence(spec.data):
-        curve = _CurveEvaluator(spec, axis, cert)
-        outer = search(curve, expand_bracket(curve, start), SEARCH, curve.certified)
-        rounds += outer.rounds
-        evals += len(curve.seen)
-        if curve.certified():
-            break
+    curve = _CurveEvaluator(spec, axes_by_influence(spec.data)[0])
+    bracket = expand_bracket(curve, default_bracket(spec.data))
+    outer = search(curve, bracket, SEARCH, curve.certified)
+    curve.certified()
+    cert = curve.cert
     return SolveResult(
         beta=Coefficients(cert.point),
         objective=cert.value,
         solver_id=f"locus_{outer_search}",
-        iterations=rounds,
-        objective_evals=evals,
+        iterations=outer.rounds,
+        objective_evals=len(curve.seen),
         wall_time=time.perf_counter() - t0,
         converged=bool(cert.gap <= GAP_TOL),
     )

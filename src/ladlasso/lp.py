@@ -61,10 +61,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, SimplexError
+from .errors import SimplexError
 from .model import Coefficients, ProblemSpec, SolveResult, evaluate_objective
 
-PIVOT_RULES = ("bland", "dantzig_with_bland_fallback")
+# "dantzig_with_bland_fallback" prices by Dantzig's rule until a degenerate
+# streak as long as the column count, then by Bland's for good; "bland" from
+# the start
+PIVOT_RULE = "dantzig_with_bland_fallback"
+# the pivot budget; None allows 50 per column of the standard form
+MAX_PIVOTS: int | None = None
+# a reduced cost below -FEASIBILITY_TOL prices a column in, and a pivot
+# column entry above it bounds the step
+FEASIBILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,21 +114,6 @@ class LpStandardForm:
         )
 
 
-@dataclass(frozen=True)
-class SimplexConfig:
-    max_pivots: int | None = None  # default 50 * (number of columns)
-    pivot_rule: str = "dantzig_with_bland_fallback"
-    feasibility_tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_pivots is not None and self.max_pivots < 1:
-            raise InvalidInputError("max_pivots must be at least 1")
-        if self.pivot_rule not in PIVOT_RULES:
-            raise InvalidInputError(f"unknown pivot rule {self.pivot_rule!r}")
-        if not self.feasibility_tolerance >= 0:
-            raise InvalidInputError("feasibility_tolerance must be >= 0")
-
-
 @dataclass(eq=False)
 class SimplexSolution:
     """Raw simplex output in the full 2d+2m variable space."""
@@ -146,18 +139,17 @@ def initial_basis(lp: LpStandardForm) -> np.ndarray:
     return 2 * d + np.arange(m) + m * (lp.rhs < 0)
 
 
-def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> SimplexSolution:
+def simplex_minimize(lp: LpStandardForm) -> SimplexSolution:
     """Primal simplex from the sign-split basis, with a long-step ratio test.
 
     Raises SimplexError on detected unboundedness, which a well-formed
     formulation cannot produce; treat it as a bug signal.
     """
-    cfg = cfg or SimplexConfig()
     x, b, c = lp.spec.data.x, lp.rhs, lp.cost
     m, d = x.shape
     n = c.size
-    tol = cfg.feasibility_tolerance
-    max_pivots = cfg.max_pivots if cfg.max_pivots is not None else 50 * n
+    tol = FEASIBILITY_TOL
+    max_pivots = MAX_PIVOTS if MAX_PIVOTS is not None else 50 * n
 
     basis = initial_basis(lp)
     sign = np.where(b >= 0, 1.0, -1.0)
@@ -187,7 +179,7 @@ def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> Si
     var = list(range(d)) + [-1] * (d + 2) + list(range(d, 2 * d)) + [-1] * (d + 1)
     free = list(range(width - 1, d - 1, -1))
 
-    bland = cfg.pivot_rule == "bland"
+    bland = PIVOT_RULE == "bland"
     degenerate_streak = 0
     pivots = 0
     converged = False
@@ -267,13 +259,13 @@ def simplex_minimize(lp: LpStandardForm, cfg: SimplexConfig | None = None) -> Si
     return SimplexSolution(full, float(c @ full), pivots, converged, basis, trace)
 
 
-def solve_lp(spec: ProblemSpec, cfg: SimplexConfig | None = None) -> SolveResult:
+def solve_lp(spec: ProblemSpec) -> SolveResult:
     """Formulate, solve and map back to coefficients, revalidating the objective.
 
     The reported wall time includes the formulation.
     """
     t0 = time.perf_counter()
-    sol = simplex_minimize(formulate(spec), cfg)
+    sol = simplex_minimize(formulate(spec))
     d = spec.d
     beta = sol.x[:d] - sol.x[d : 2 * d]
     objective = evaluate_objective(spec, beta)

@@ -32,34 +32,39 @@ def enumerate_vertices(
     return [Coefficients(v) for v in sol[~singular]]
 
 
+def solve_one(a, b, pivot_rtol=1e-12):
+    """One system as a batch of one: its solution, or None if singular."""
+    sol, singular = solve_linear_system([a], [b], pivot_rtol)
+    return None if singular[0] else sol[0]
+
+
 class TestLinearSolve:
     def test_identity(self):
-        assert solve_linear_system(np.eye(2), [3.0, 4.0]).tolist() == [3.0, 4.0]
+        assert solve_one(np.eye(2), [3.0, 4.0]).tolist() == [3.0, 4.0]
 
     def test_rank_deficient_returns_none(self):
-        assert solve_linear_system([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]) is None
+        assert solve_one([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]) is None
 
     def test_random_system_residual(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             a = rng.uniform(-2, 2, (3, 3))
             b = rng.uniform(-2, 2, 3)
-            sol = solve_linear_system(a, b)
+            sol = solve_one(a, b)
             assert sol is not None
             assert np.abs(a @ sol - b).max() < 1e-9
 
     def test_zero_row_is_singular(self):
-        assert solve_linear_system([[0.0, 0.0], [1.0, 2.0]], [0.0, 1.0]) is None
+        assert solve_one([[0.0, 0.0], [1.0, 2.0]], [0.0, 1.0]) is None
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            solve_linear_system(np.ones((2, 3)), np.ones(2))
-
+            solve_linear_system(np.ones((1, 2, 3)), np.ones((1, 2)))
 
     def test_pivot_below_rtol_is_singular(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
-        assert solve_linear_system(a, [1.0, 2.0]) is None
-        assert solve_linear_system(a, [1.0, 2.0], pivot_rtol=1e-14) is not None
+        assert solve_one(a, [1.0, 2.0]) is None
+        assert solve_one(a, [1.0, 2.0], pivot_rtol=1e-14) is not None
         sol, singular = solve_linear_system(np.stack([a, np.eye(2)]), [[1.0, 2.0], [5.0, 6.0]])
         assert singular.tolist() == [True, False]
         assert sol[1].tolist() == [5.0, 6.0]
@@ -102,7 +107,7 @@ def test_stacked_solve_is_the_single_solve_bit_for_bit(stack):
     sol, singular = solve_linear_system(a, b, pivot_rtol)
     assert sol.shape == b.shape and singular.shape == (len(must),)
     for s, must_be_singular in enumerate(must):
-        one = solve_linear_system(a[s], b[s], pivot_rtol)
+        one = solve_one(a[s], b[s], pivot_rtol)
         assert singular[s] == (one is None)
         if one is not None:
             assert sol[s].tobytes() == one.tobytes()

@@ -16,7 +16,7 @@ from ladlasso.locus import (
     SEARCH,
     LocusPoint,
     _CurveEvaluator,
-    _pivot,
+    _basis_dual,
     axes_by_influence,
     certify,
     default_bracket,
@@ -24,7 +24,8 @@ from ladlasso.locus import (
     sample_locus,
     solve_locus,
 )
-from ladlasso.lp import solve_lp
+from ladlasso import lp
+from ladlasso.lp import formulate, simplex_minimize, solve_lp
 from ladlasso.model import GAP_TOL, Coefficients, ProblemSpec, axis_restriction, evaluate_objective
 from util import make_problem, rel_gap
 
@@ -287,6 +288,18 @@ def test_early_stop_keeps_the_lowest_vertex_across_axes(d, m, lam, seed, outer_s
 
 
 @pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
+def test_a_probe_above_the_best_can_snap_to_the_optimum(outer_search):
+    # a benchmark instance whose probe descents near the optimum stall above
+    # the curve, so the search converges elsewhere; snapping only the lowest
+    # probe left it uncertified 0.6% above the optimum, while a higher probe's
+    # snap is the optimal vertex
+    spec = make_problem(seed=5426622853555195582, d=3, m=12, lam=1.0)
+    res = solve_locus(spec, outer_search)
+    assert res.converged
+    assert rel_gap(res.objective, solve_lp(spec).objective) <= GAP_TOL
+
+
+@pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
 @pytest.mark.parametrize("m, seed", [(26, 19), (26, 36), (40, 11), (40, 27), (40, 37)])
 def test_recorded_d8_misses_are_certified(m, seed, outer_search):
     # noisy d=8 instances whose search ran to the bracket tolerance and ended
@@ -318,22 +331,22 @@ def test_search_stops_at_the_first_certified_round():
 
 
 @pytest.mark.parametrize("lam_zero", (False, True))
-def test_pivots_descend_to_the_brute_force_optimum(lam_zero):
-    # from beta = 0, where the d coefficient planes meet, each pivot lands on
-    # a lower vertex that lies on the planes it names, and the descent stops
-    # only at the optimum
+def test_basis_dual_bounds_the_brute_force_optimum(lam_zero, monkeypatch):
+    # the dual point of every basis the simplex passes through, optimal or
+    # not, bounds the brute-force optimum from below, and that of its final
+    # basis meets it; at lambda = 0 (lambda_eff = 1e-9) the constraint
+    # |X^T u| <= lambda_eff sits at the rounding level of X^T u, so scaling u
+    # into it costs up to about 1e-6 of the bound, which must still certify
     for i in range(len(ORACLE_GRID)):
         spec, reference = _oracle_problem(i, lam_zero)
-        d, m = spec.d, spec.m
-        normals = np.vstack((spec.data.x, np.eye(d)))
-        offsets = np.append(spec.data.y, np.zeros(d))
-        value, vertex, planes = evaluate_objective(spec, np.zeros(d)), np.zeros(d), tuple(range(m, m + d))
-        while (step := _pivot(spec, vertex, planes))[0] < value:
-            value, vertex, planes = step
-            assert value == evaluate_objective(spec, vertex)
-            on = normals[list(planes)] @ vertex - offsets[list(planes)]
-            assert np.abs(on).max() <= 1e-9 * (1.0 + np.abs(offsets).max()), (i, planes)
-        assert rel_gap(value, reference.objective) <= 1e-12, i
+        form = formulate(spec)
+        for k in range(simplex_minimize(form).pivots + 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "MAX_PIVOTS", k)
+                u = _basis_dual(spec, simplex_minimize(form).basis)
+            bound = float(spec.data.y @ u)
+            assert bound <= reference.objective * (1.0 + 1e-12), (i, k)
+        assert rel_gap(bound, reference.objective) <= (GAP_TOL if lam_zero else 1e-12), i
 
 
 @pytest.mark.parametrize(

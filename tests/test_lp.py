@@ -6,10 +6,8 @@ import pytest
 
 from ladlasso.brute import solve_brute
 from ladlasso.datagen import GenSpec, generate
-from ladlasso.errors import InvalidInputError
+from ladlasso import lp as lp_module
 from ladlasso.lp import (
-    PIVOT_RULES,
-    SimplexConfig,
     dump_lp,
     formulate,
     initial_basis,
@@ -113,25 +111,27 @@ def test_objective_trace_never_increases():
     assert (np.diff(trace) <= 1e-9).all()
 
 
-def test_bland_rule_reaches_same_objective():
+PIVOT_RULES = ("bland", "dantzig_with_bland_fallback")
+
+
+def simplex_by_rule(lp, rule, monkeypatch):
+    monkeypatch.setattr(lp_module, "PIVOT_RULE", rule)
+    return simplex_minimize(lp)
+
+
+def test_bland_rule_reaches_same_objective(monkeypatch):
     spec = make_problem(seed=34, d=3, m=8, lam=0.1)
     lp = formulate(spec)
     default = simplex_minimize(lp)
-    bland = simplex_minimize(lp, SimplexConfig(pivot_rule="bland"))
+    bland = simplex_by_rule(lp, "bland", monkeypatch)
     assert bland.objective == pytest.approx(default.objective, rel=1e-10)
 
 
-def test_pivot_budget_flags_non_convergence():
+def test_pivot_budget_flags_non_convergence(monkeypatch):
     spec = make_problem(seed=35, d=3, m=10, lam=0.1)
-    res = solve_lp(spec, SimplexConfig(max_pivots=1))
+    monkeypatch.setattr(lp_module, "MAX_PIVOTS", 1)
+    res = solve_lp(spec)
     assert not res.converged
-
-
-def test_config_validation():
-    with pytest.raises(InvalidInputError):
-        SimplexConfig(max_pivots=0)
-    with pytest.raises(InvalidInputError):
-        SimplexConfig(pivot_rule="steepest")
 
 
 def test_unbounded_direction_is_an_internal_error():
@@ -212,9 +212,9 @@ LONG_STEP_PIVOTS = {41: 7, 42: 17, 43: 27, 44: 49}
 
 
 @pytest.mark.parametrize("seed,d,m,rule,dense_pivots,objective", PINNED_PIVOT_SEQUENCES)
-def test_pivot_sequence_is_pinned(seed, d, m, rule, dense_pivots, objective):
+def test_pivot_sequence_is_pinned(seed, d, m, rule, dense_pivots, objective, monkeypatch):
     spec = make_problem(seed=seed, d=d, m=m, lam=0.1)
-    sol = simplex_minimize(formulate(spec), SimplexConfig(pivot_rule=rule))
+    sol = simplex_by_rule(formulate(spec), rule, monkeypatch)
     assert sol.converged
     assert sol.pivots == LONG_STEP_PIVOTS[seed] < dense_pivots
     assert sol.objective == pytest.approx(objective, rel=1e-12)
@@ -235,7 +235,7 @@ def test_leaving_ties_are_pinned():
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
-def test_exact_price_ties_zero_and_duplicate_columns(lam):
+def test_exact_price_ties_zero_and_duplicate_columns(lam, monkeypatch):
     # a zero column prices both its halves at lambda; a duplicated column prices
     # exactly like its twin, so the entering choice rests on the index tie-break
     data, _ = generate(GenSpec(m=8, d=3, noise_sigma=1.0, outlier_fraction=0.2, seed=3))
@@ -245,7 +245,7 @@ def test_exact_price_ties_zero_and_duplicate_columns(lam):
     spec = tiny_problem(x, data.y, lam)
     reference = solve_brute(spec)
     for rule in PIVOT_RULES:
-        sol = simplex_minimize(formulate(spec), SimplexConfig(pivot_rule=rule))
+        sol = simplex_by_rule(formulate(spec), rule, monkeypatch)
         assert sol.converged
         assert rel_gap(sol.objective, reference.objective) < 1e-9
         _assert_complementary(sol, spec.d, spec.m)
@@ -266,7 +266,7 @@ def test_one_dimension_is_one_long_step(m):
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
-def test_long_steps_through_degenerate_and_tied_breakpoints(lam):
+def test_long_steps_through_degenerate_and_tied_breakpoints(lam, monkeypatch):
     # rows with y = 0 put breakpoints at ratio 0, and duplicated rows put two
     # at the same ratio; under both rules the steps pass several of each
     data, _ = generate(GenSpec(m=12, d=3, noise_sigma=1.0, outlier_fraction=0.2, seed=2))
@@ -276,7 +276,7 @@ def test_long_steps_through_degenerate_and_tied_breakpoints(lam):
     spec = tiny_problem(x, y, lam)
     reference = solve_brute(spec)
     for rule in PIVOT_RULES:
-        sol = simplex_minimize(formulate(spec), SimplexConfig(pivot_rule=rule))
+        sol = simplex_by_rule(formulate(spec), rule, monkeypatch)
         assert sol.converged
         assert rel_gap(sol.objective, reference.objective) < 1e-9
         _assert_complementary(sol, spec.d, spec.m)
@@ -316,8 +316,3 @@ def test_memory_stays_linear_in_rows():
         tracemalloc.stop()
     assert res.converged
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
-
-
-def test_negative_tolerance_is_rejected():
-    with pytest.raises(InvalidInputError):
-        SimplexConfig(feasibility_tolerance=-1e-9)
