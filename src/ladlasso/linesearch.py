@@ -10,8 +10,9 @@ half-weight crossing with the midpoint of a flat segment, lives in
 ``weighted_median_sorted``, and its sort in ``weighted_median_from``, which
 the coordinate descent's kernels call too.
 When only an evaluator is available two bracket searches are provided:
-``ternary_min`` (two interior probes, bracket shrinks by one third per
-round) and ``quadrature_min`` (a fixed interior grid of probes per round, so
+``ternary_min`` (a golden-section chop: two new probes per round, each
+round after the first shrinks the bracket to 0.382 of its width) and
+``quadrature_min`` (a fixed interior grid of probes per round, so
 the work per round is constant and data independent - the control-flow
 shape that maps onto wide SIMD hardware without reductions).
 ``expand_bracket`` grows a bracket until it provably contains a minimum of a
@@ -29,6 +30,9 @@ from .errors import DegenerateInputError, InvalidInputError, UnboundedDirectionE
 
 Evaluator = Callable[[float], float]
 Done = Callable[[], bool]
+
+# 1/phi: a golden-section point splits [lo, hi] at lo + GOLDEN * (hi - lo)
+GOLDEN = (5**0.5 - 1) / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,13 +197,18 @@ class _Best:
 def ternary_min(
     g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = None, done: Done | None = None
 ) -> SearchResult:
-    """Two-interior-probe bracket search for a convex evaluator.
+    """Golden-section ternary chop (Kiefer 1953) for a convex evaluator.
 
-    Returns the best point evaluated (the final bracket midpoint unless an
-    earlier probe was strictly better), so the result is never worse than the
-    value at the input bracket midpoint.  ``done``, if given, is asked after
-    each round; once it holds the search stops there, with the rounds and
-    evaluations so far and ``converged`` set.
+    Each step compares two interior probes, drops the outer segment beside
+    the higher one and keeps the lower, which sits at a golden-section point
+    of the bracket left, so one new probe at the mirror point restores the
+    pair.  A round is two new probes: the first places the pair at 0.382 and
+    0.618 of the bracket, later ones take two steps, so after k rounds the
+    bracket is 0.618**(2k - 1) of its width.  Returns the best point evaluated (the final bracket midpoint
+    unless an earlier probe was strictly better), so the result is never
+    worse than the value at the input bracket midpoint.  ``done``, if given,
+    is asked after each round; once it holds the search stops there, with
+    the rounds and evaluations so far and ``converged`` set.
     """
     cfg = cfg or SearchConfig()
     lo, hi = bracket.lo, bracket.hi
@@ -208,19 +217,27 @@ def ternary_min(
     best.offer(bracket.mid, g(bracket.mid))
     evals = 1
     rounds = 0
+    # the pair t1 < t2 sits at the golden-section points of [lo, hi]; the
+    # probe a step places is the one whose value is None
+    t1, t2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    v1 = v2 = None
     while (hi - lo) > target and rounds < cfg.max_iterations:
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        v1 = g(m1)
-        v2 = g(m2)
+        for _ in range(2):
+            if v1 is None:
+                v1 = g(t1)
+                best.offer(t1, v1)
+            else:
+                v2 = g(t2)
+                best.offer(t2, v2)
+            if v2 is None:
+                continue  # the first round places t2 before comparing
+            if v1 < v2:
+                hi, t2, v2 = t2, t1, v1
+                t1, v1 = hi - GOLDEN * (hi - lo), None
+            else:
+                lo, t1, v1 = t1, t2, v2
+                t2, v2 = lo + GOLDEN * (hi - lo), None
         evals += 2
-        best.offer(m1, v1)
-        best.offer(m2, v2)
-        if v1 < v2:
-            hi = m2
-        else:
-            lo = m1
         rounds += 1
         if done is not None and done():
             return SearchResult(best.t, best.value, rounds, evals, True, Bracket(lo, hi))

@@ -16,7 +16,10 @@ planes.  After the first round the simplex (``simplex_minimize``) solves
 the problem once; the dual point read off its final basis bounds the
 optimum from below.  The solve stops at the first round whose own lowest
 snapped point is within ``GAP_TOL`` of that bound: a GPU thread should do no
-work past a proven optimum.  Later probes descend from the simplex's vertex.
+work past a proven optimum.  Later probes descend from the lowest point at
+their coordinate on the edges through the simplex's vertex, where the curve
+runs near the optimum: a descent from the vertex with one coordinate moved
+can stall well above the curve.
 ``sample_locus`` traces the curve on a grid, to test the monotonicity and
 convexity claims empirically.
 """
@@ -24,6 +27,7 @@ convexity claims empirically.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -121,11 +125,13 @@ def sample_locus(
 class _CurveEvaluator:
     """Evaluates the curve value at t with one restricted descent per probe.
 
-    Each probe descends from ``cert.warm``, the simplex's vertex, once there
-    is one, else from the nearest probe seen, the first from zero, taking
-    ``line_steps`` (which cut zig-zags short but still stop only on a
-    sweep without gain).  ``seen`` lists the probe points in the order seen;
-    their distinct coordinates are also kept sorted, for bisection.
+    Each probe descends from the edge start (``_edge_start``) once the
+    simplex has given a vertex, else from the nearest probe seen, the first
+    from zero, taking ``line_steps`` (which cut zig-zags short but still
+    stop only on a sweep without gain); a coordinate seen before is valued
+    by its first point, without a descent.  ``seen`` lists the probe points
+    in the order seen; their distinct coordinates are also kept sorted, for
+    bisection.
     """
 
     def __init__(self, spec: ProblemSpec, axis: int):
@@ -137,6 +143,7 @@ class _CurveEvaluator:
         self._firsts: list[int] = []
         self.cert = _Certificate(spec)
         self._offered = 0  # the probes seen before this were offered
+        self._edges: np.ndarray | None = None  # of the simplex's vertex, once there is one
 
     def remember(self, pt: LocusPoint) -> None:
         ts = self._ts
@@ -157,10 +164,23 @@ class _CurveEvaluator:
         return self.seen[firsts[k]].beta
 
     def __call__(self, t: float) -> float:
-        warm = self.cert.warm if self.cert.warm is not None else self._nearest(t)
+        i = bisect_left(self._ts, t)
+        if i < len(self._ts) and self._ts[i] == t:
+            return self.seen[self._firsts[i]].value  # seen before: no second descent
+        warm = self._nearest(t) if self.cert.warm is None else self._edge_start(t)
         pt = locus_value(self.spec, self.axis, t, warm, line_steps=True)
         self.remember(pt)
         return pt.value
+
+    def _edge_start(self, t: float) -> Coefficients:
+        """The lowest point at t on the lines through the simplex's vertex
+        along ``_edges``, the vertex's own with only t moved among them."""
+        if self._edges is None:
+            self._edges = _edges(self.spec, self.cert.basis, self.axis)
+        vertex = self.cert.warm.beta
+        starts = vertex + (t - vertex[self.axis]) * self._edges
+        values = objective_values(self.spec.data.x, self.spec.data.y, self.spec.lambda_eff, starts)
+        return Coefficients(starts[int(values.argmin())])
 
     def certified(self) -> bool:
         """Whether ``cert`` is within ``GAP_TOL``, once offered the probes
@@ -202,6 +222,37 @@ def _snap(spec: ProblemSpec, betas: np.ndarray) -> tuple[float, np.ndarray]:
     return objective_value(x, y, spec.lambda_eff, vertices[k]), vertices[k]
 
 
+def _tight_planes(spec: ProblemSpec, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The d planes through the vertex of a simplex basis (``lp`` variable
+    indices), as masks: the rows with neither residual part basic, and the
+    coefficients with neither part basic."""
+    d = spec.d
+    active = np.ones(spec.m, dtype=bool)
+    active[(basis[basis >= 2 * d] - 2 * d) % spec.m] = False
+    zero = np.ones(d, dtype=bool)
+    zero[basis[basis < 2 * d] % d] = False
+    return active, zero
+
+
+def _edges(spec: ProblemSpec, basis: np.ndarray, axis: int) -> np.ndarray:
+    """Directions (rows) along which coordinate ``axis`` moves at unit rate
+    from the vertex of a simplex basis, then ``axis``'s own unit vector.
+
+    The vertex's d planes (``_tight_planes``) are independent, as the basis
+    is; column k of the inverse of their normals keeps all but plane k
+    tight, so it is the edge that leaves plane k.  Edges along which the
+    axis stays (nearly) put are skipped.  With coordinate ``axis`` held at t
+    near an optimal vertex, the restricted minimum moves off it along one of
+    these edges (parametric programming), so near the optimum the curve runs
+    along one of them.
+    """
+    active, zero = _tight_planes(spec, basis)
+    inverse = np.linalg.inv(np.vstack((spec.data.x[active], np.eye(spec.d)[zero])))
+    rates = inverse[axis]
+    moving = np.abs(rates) > 1e-12 * np.abs(inverse).max(axis=0)
+    return np.vstack(((inverse[:, moving] / rates[moving]).T, np.eye(spec.d)[axis]))
+
+
 def _basis_dual(spec: ProblemSpec, basis: np.ndarray) -> np.ndarray:
     """A dual-feasible u read off a simplex basis (``lp`` variable indices).
 
@@ -220,13 +271,21 @@ def _basis_dual(spec: ProblemSpec, basis: np.ndarray) -> np.ndarray:
     u[residuals % m] = np.where(residuals < m, 1.0, -1.0)
     parts = basis[basis < 2 * d]
     if parts.size:
-        active = np.ones(m, dtype=bool)
-        active[residuals % m] = False
+        active, _ = _tight_planes(spec, basis)
         cols, s = parts % d, np.where(parts < d, 1.0, -1.0)
-        # u is 0 on the active rows, so x[:, cols].T @ u sums the others
+        # u is 0 on the active rows, so this sums the others' exact products
         a = s[:, None] * x[active][:, cols].T
-        u[active] = np.clip(np.linalg.solve(a, lam - s * (x[:, cols].T @ u)), -1.0, 1.0)
-    return u / max(1.0, float(np.abs(x.T @ u).max()) / lam)
+        u[active] = np.clip(np.linalg.solve(a, lam - s * _exact_xtu(x[:, cols], u)), -1.0, 1.0)
+    return u / max(1.0, float(np.abs(_exact_xtu(x, u)).max()) / lam)
+
+
+def _exact_xtu(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """X^T u, each column's products summed exactly (``math.fsum``).  Where
+    u_i = +-1 the products are exact too, so only the d active rows round:
+    at lambda = 0 the dual box ||X^T u||_inf <= lambda_eff is about 1e-9, and
+    a sum rounded over m rows would cost the bound about m * 1e-16 * max|x|
+    / lambda_eff of its value."""
+    return np.array(list(map(math.fsum, (x.T * u).tolist())))
 
 
 class _Certificate:
@@ -245,6 +304,7 @@ class _Certificate:
         self.point: np.ndarray | None = None
         self.value, self.bound = np.inf, -np.inf
         self.warm: Coefficients | None = None
+        self.basis: np.ndarray | None = None  # the simplex's final basis, with warm
         self._warm_value = np.inf
 
     def offer(self, betas: np.ndarray) -> None:
@@ -256,6 +316,7 @@ class _Certificate:
             if sol.converged:
                 d = self.spec.d
                 self.warm = Coefficients(sol.x[:d] - sol.x[d : 2 * d])
+                self.basis = sol.basis
                 self._warm_value = objective_value(x, y, lam, self.warm.beta)
                 self.bound = float(y @ _basis_dual(self.spec, sol.basis))
         beta = betas[int(objective_values(x, y, lam, betas).argmin())]

@@ -94,7 +94,7 @@ class TestCheck:
         import ladlasso.locus as locus
         from ladlasso.linesearch import SearchConfig
 
-        monkeypatch.setattr(locus, "SEARCH", SearchConfig(tolerance=0.5))
+        monkeypatch.setattr(locus, "SEARCH", SearchConfig(tolerance=0.9))
         out = tmp_path / "loose.csv"
         code = main(["check", "--d", "2", "--m", "8", "--n-instances", "10",
                      "--seed", "3", "--out", str(out)])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ladlasso.errors import DegenerateInputError, UnboundedDirectionError
 from ladlasso.linesearch import (
+    GOLDEN,
     Bracket,
     PiecewiseLinear1D,
     SearchConfig,
@@ -13,6 +14,7 @@ from ladlasso.linesearch import (
     ternary_min,
     weighted_median_min,
 )
+from ladlasso.locus import SEARCH
 
 
 def pwl(pairs, constant=0.0):
@@ -92,6 +94,21 @@ class TestTernary:
         )
         assert not res.converged
         assert np.isfinite(res.value)
+
+    def test_never_done_chop_reaches_the_locus_tolerance_in_23_rounds(self):
+        # two new probes a round, each later round shrinking the bracket by
+        # GOLDEN**2 = 0.382: thirds took 52 rounds to reach 1e-9
+        probes = []
+
+        def g(t):
+            probes.append(t)
+            return abs(t - 2.7)
+
+        res = ternary_min(g, Bracket(-60.0, 60.0), SEARCH, lambda: False)
+        assert res.converged and res.rounds <= 23
+        assert res.bracket.width <= 120.0 * GOLDEN ** (2 * res.rounds - 1) * (1 + 1e-8)
+        assert res.evals == len(probes) == 2 * res.rounds + 2
+        assert abs(res.t - 2.7) <= SEARCH.tolerance * 120.0
 
     def test_shrink_rate(self):
         res = ternary_min(lambda t: abs(t - 1.0), Bracket(-7.0, 9.0))

@@ -27,7 +27,7 @@ from ladlasso.locus import (
 from ladlasso import lp
 from ladlasso.lp import formulate, simplex_minimize, solve_lp
 from ladlasso.model import GAP_TOL, Coefficients, ProblemSpec, axis_restriction, evaluate_objective
-from util import make_problem, rel_gap
+from util import exact_curve, make_problem, rel_gap
 
 ORACLE_GRID = list(oracle_grid(200))
 
@@ -232,11 +232,12 @@ def test_certificate_holds_at_the_brute_force_optimum():
         (3, 4, 0.1, 2947489538003098819),
         (3, 12, 0.1, 9206505262935403616),
         (3, 12, 1.0, 556364393903137014),
+        (3, 12, 0.01, 3667430575337439012),  # GOLDEN_MISS, below
     ],
 )
 def test_recorded_misses_are_certified(d, m, lam, seed, outer_search):
-    # benchmark instances on which the locus search once missed the optimum
-    # while still reporting convergence
+    # benchmark instances on which the locus search once missed the optimum,
+    # the first three while still reporting convergence
     spec = make_problem(seed=seed, d=d, m=m, lam=lam)
     res = solve_locus(spec, outer_search)
     assert res.converged
@@ -363,3 +364,73 @@ def test_stalled_descents_are_pivoted_past(m, seed):
     assert res.converged
     assert rel_gap(res.objective, solve_lp(spec).objective) <= 1e-12
     assert res.iterations < 30
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_exact_curve_is_convex(d):
+    # the curve is a partial minimum of a convex function, so convex in t
+    # for any d (the chop relies on it); probe descents can stall above it
+    for k, lam in enumerate((0.01, 0.1, 1.0)):
+        spec = make_problem(seed=100 * d + k, d=d, m=6 + 2 * d + k, lam=lam)
+        axis = axes_by_influence(spec.data)[0]
+        t_star = solve_lp(spec).beta.beta[axis]
+        ts = t_star + (1.0 + abs(t_star)) * np.linspace(-1.0, 1.0, 33)
+        values = np.array([exact_curve(spec, axis, float(t)) for t in ts])
+        second = values[:-2] - 2.0 * values[1:-1] + values[2:]
+        assert second.min() >= -1e-12 * np.abs(values).max(), (d, k)
+
+
+# a benchmark instance whose probe descents from the simplex's vertex, with
+# only the axis moved, stall up to 0.77 above the curve between its optimum
+# (t = 3.157) and t = 4.4: the golden-section chop followed that false dip
+# to t = 4.47 and ended uncertified 9.2e-3 above the optimum, until probes
+# started from the vertex's edges (test_recorded_misses_are_certified)
+GOLDEN_MISS = dict(seed=3667430575337439012, d=3, m=12, lam=0.01)
+
+
+def test_edge_starts_lie_on_the_exact_curve_near_the_optimum():
+    spec = make_problem(**GOLDEN_MISS)
+    axis = axes_by_influence(spec.data)[0]
+    curve = _CurveEvaluator(spec, axis)
+    curve.cert.offer(np.zeros((1, spec.d)))  # runs the simplex
+    vertex = curve.cert.warm.beta
+    for t in (3.3, 3.83, 4.22):
+        start = curve._edge_start(t).beta
+        assert start[axis] == pytest.approx(t, rel=1e-15)
+        assert rel_gap(evaluate_objective(spec, start), exact_curve(spec, axis, t)) <= 1e-12
+        # from the vertex with only the axis moved the descent stalls above it
+        moved = vertex.copy()
+        moved[axis] = t
+        stalled = locus_value(spec, axis, t, Coefficients(moved), line_steps=True).value
+        assert stalled > exact_curve(spec, axis, t) + 0.1
+
+
+def test_a_seen_coordinate_costs_no_descent(monkeypatch):
+    import ladlasso.locus as locus
+
+    calls = []
+    real = locus.locus_value
+
+    def counted(spec, axis, t, *args, **kwargs):
+        calls.append(t)
+        return real(spec, axis, t, *args, **kwargs)
+
+    monkeypatch.setattr(locus, "locus_value", counted)
+    spec = make_problem(seed=4, d=3, m=12, lam=0.1)
+    curve = _CurveEvaluator(spec, 0)
+    first = curve(1.25)
+    assert curve(1.25) == first
+    assert curve(-0.5) != first
+    assert calls == [1.25, -0.5]
+    assert [pt.t for pt in curve.seen] == [1.25, -0.5]
+
+
+@pytest.mark.parametrize("m", (400, 800))
+def test_exact_results_at_lambda_zero_are_certified(m):
+    # at lambda = 0 the dual box is ||X^T u||_inf <= 1e-9; summed in floating
+    # point over m rows, X^T u cost the bound up to 3.1e-5 at m = 800
+    for seed in range(3):
+        spec = make_problem(seed=seed, d=5, m=m, lam=0.0)
+        res = solve_locus(spec)
+        assert res.converged, seed
+        assert rel_gap(res.objective, solve_lp(spec).objective) <= GAP_TOL

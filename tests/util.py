@@ -3,6 +3,7 @@
 import numpy as np
 
 from ladlasso.datagen import GenSpec, generate
+from ladlasso.lp import solve_lp
 from ladlasso.model import Dataset, ProblemSpec
 
 
@@ -20,3 +21,13 @@ def tiny_problem(x, y, lam, **kw):
 
 def rel_gap(value, reference):
     return abs(value - reference) / max(abs(reference), 1e-30)
+
+
+def exact_curve(spec, axis, t):
+    """The locus curve's exact value at t: the minimum over the other
+    coordinates with coordinate ``axis`` held at t (``solve_lp`` on the
+    other columns against y - x_axis * t), plus the penalty lambda |t|."""
+    x = np.delete(spec.data.x, axis, axis=1)
+    y = spec.data.y - spec.data.x[:, axis] * t
+    rest = ProblemSpec(Dataset(x, y), spec.lam, spec.lambda_floor)
+    return solve_lp(rest).objective + spec.lambda_eff * abs(t)
