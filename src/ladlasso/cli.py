@@ -194,8 +194,11 @@ def cmd_check(args) -> int:
             cells.append(_sci(v) if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            _write_lines(args.out, lines)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
     ok = True
     for s in CHECK_SOLVERS:
@@ -253,8 +256,6 @@ def cmd_bench(args) -> int:
             row["converged"],
         ]
         lines.append(",".join(cells))
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
 
     medians_path = _medians_path(args.out)
     med_lines = ["solver,d,m,median_wall_time_s,median_objective"]
@@ -272,10 +273,19 @@ def cmd_bench(args) -> int:
                 mt = statistics.median(r["wall_time_s"] for r in cell)
                 mo = statistics.median(r["objective"] for r in cell)
                 med_lines.append(f"{solver_id},{d},{m},{_sci(mt)},{_sci(mo)}")
-    with open(medians_path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(med_lines) + "\n")
+    try:
+        _write_lines(args.out, lines)
+        _write_lines(medians_path, med_lines)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(rows)} runs to {args.out}; per-cell medians to {medians_path}")
     return 0
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _medians_path(out_path: str) -> str:

@@ -2,10 +2,13 @@
 
 Plain coordinate descent on this objective can halt at a point where every
 axis-parallel direction increases yet a diagonal direction still descends.
-Such halting points form a single curve, monotone in every coordinate, and
-the objective restricted to it is convex.  So one axis can be bracket-searched
-with every probe valued by a restricted coordinate descent (the probed
-coordinate frozen), which lands on the corresponding point of the curve.
+Such halting points form a single curve.  The exact curve (the objective
+minimised with one coordinate held) is convex, as any partial minimum of a
+convex function is; the tests check that for d = 3 to 8, and monotone
+coordinate paths only at d = 2 (acceptance criterion 4).  So one axis can be
+bracket-searched with every probe valued by a restricted coordinate descent
+(the probed coordinate frozen), which lands on the corresponding point of
+the curve.
 
 The minimum of the piecewise-linear objective sits at a vertex, where d of
 its m + d planes meet (x_i . beta = y_i, beta_j = 0).  The probes end near
@@ -109,7 +112,7 @@ def sample_locus(
 
     Successive points warm-start from their predecessor; the returned value
     sequence should be unimodal and each coordinate path monotone, which the
-    test suite checks on random problems instead of assuming.
+    test suite checks on random d = 2 problems instead of assuming.
     """
     if n < 3:
         raise InvalidInputError("need at least 3 sample points")
@@ -196,9 +199,10 @@ class _CurveEvaluator:
 def _snap(spec: ProblemSpec, betas: np.ndarray) -> tuple[float, np.ndarray]:
     """(objective, vertex) of the lowest vertex among the d + ``SNAP_SPARE``
     planes nearest any of the points ``betas`` (rows), all solved as one
-    stack; ``(inf, betas[0])`` if all are singular.  Planes 0..m-1 are the
-    rows, at distance |r_i| / ||x_i||_1, and m..m+d-1 the coefficients, at
-    |beta_j|; ties go to the lower index, then to the earlier point."""
+    stack by ``solve_linear_system``; ``(inf, betas[0])`` if all are
+    singular.  Planes 0..m-1 are the rows, at distance |r_i| / ||x_i||_1,
+    and m..m+d-1 the coefficients, at |beta_j|; ties go to the lower index,
+    then to the earlier point."""
     x, y = spec.data.x, spec.data.y
     d = spec.d
     norms = np.abs(x).sum(axis=1)  # a zero row's plane is infinitely far
@@ -333,15 +337,6 @@ class _Certificate:
     @property
     def gap(self) -> float:
         return (self.value - self.bound) / self.value if self.value > 0 else 0.0
-
-
-def certify(spec: ProblemSpec, beta) -> tuple[np.ndarray, float, float]:
-    """(point, objective, gap): the snapped vertex if no higher than ``beta``,
-    else ``beta``, and its relative gap (f - y . u) / f to the dual point of
-    the simplex's final basis, never below (f - f*) / f; 0 where f = 0 = f*."""
-    cert = _Certificate(spec)
-    cert.offer(np.array([beta.beta if isinstance(beta, Coefficients) else beta], dtype=float))
-    return cert.point, cert.value, cert.gap
 
 
 def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult:

@@ -16,8 +16,9 @@ from ladlasso.brute import (
     solve_linear_system,
 )
 from ladlasso.errors import ProblemTooLargeError
-from ladlasso.model import Coefficients, evaluate_objective
-from util import make_problem, tiny_problem
+from ladlasso.lp import solve_lp
+from ladlasso.model import GAP_TOL, Coefficients, Dataset, ProblemSpec, evaluate_objective
+from util import make_problem, rel_gap, tiny_problem
 
 
 def enumerate_vertices(
@@ -68,6 +69,27 @@ class TestLinearSolve:
         sol, singular = solve_linear_system(np.stack([a, np.eye(2)]), [[1.0, 2.0], [5.0, 6.0]])
         assert singular.tolist() == [True, False]
         assert sol[1].tolist() == [5.0, 6.0]
+
+    @pytest.mark.parametrize(
+        "scale",
+        (1e150, 1e-150, 1e70, 1e300, 1e-300,  # whole systems
+         (1.0, 1e-7, 1e-7), (1.0, 1e-4, 1e-4, 1e-4, 1e-4), (1e6, 1.0, 1e-6, 1e3)),  # columns
+    )
+    def test_screen_is_scale_free(self, scale):
+        # a raw determinant would overflow or underflow, and a screen on rows
+        # alone multiplies several small columns' factors into a tiny one
+        scale = np.array(scale)
+        n = scale.size if scale.ndim else 5
+        rng = np.random.default_rng(11)
+        a = rng.uniform(-2.0, 2.0, (20, n, n)) * scale
+        x = rng.uniform(-2.0, 2.0, (20, n))
+        b = np.einsum("kij,kj->ki", a, x / scale)
+        sol, singular = solve_linear_system(a, b)
+        assert not singular.any()
+        assert np.abs(sol * scale - x).max() < 1e-9
+        a[3, 2] = 0.0
+        a[7, :, 1] = 0.0
+        assert solve_linear_system(a, b)[1].tolist() == [k in (3, 7) for k in range(20)]
 
     def test_rejects_mismatched_stack(self):
         with pytest.raises(ValueError):
@@ -181,6 +203,15 @@ class TestSolveBrute:
         assert res.objective == pytest.approx(
             evaluate_objective(spec, res.beta), rel=1e-12
         )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_units_at_lambda_zero_match_the_lp(self, seed):
+        # at lambda = 0 the optimum is a vertex of residual planes only, whose
+        # systems carry the two small columns
+        spec = make_problem(seed=seed, d=3, m=10, lam=0.0)
+        x = spec.data.x * np.array([1.0, 1e-7, 1e-7])
+        spec = ProblemSpec(Dataset(x, spec.data.y), 0.0)
+        assert rel_gap(solve_brute(spec).objective, solve_lp(spec).objective) <= GAP_TOL
 
     def test_chunked_stream_agrees_with_one_chunk(self, monkeypatch):
         # noiseless data: many subsets meet at the optimum, so the tie-break

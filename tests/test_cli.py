@@ -115,6 +115,13 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "seed" in err and "synthetic failure" in err
 
+    def test_unwritable_out_is_reported(self, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "x.csv"
+        code = main(["check", "--d", "1", "--m", "4", "--n-instances", "2", "--out", str(target)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_parallel_matches_sequential(self, tmp_path):
         seq = tmp_path / "seq.csv"
         par = tmp_path / "par.csv"
@@ -155,6 +162,15 @@ class TestBench:
         for pa, pb in zip(read_csv_rows(a), read_csv_rows(b)):
             pa.pop("wall_time_s"), pb.pop("wall_time_s")
             assert pa == pb
+
+    def test_unwritable_out_is_reported(self, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "x.csv"
+        code = main(["bench", "--d", "1", "--m", "10", "--repeats", "1", "--solvers", "lp",
+                     "--out", str(target)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not target.parent.exists()
 
     def test_brute_force_cap_recorded_as_skipped(self, tmp_path, capsys):
         out = tmp_path / "big.csv"

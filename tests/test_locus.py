@@ -15,10 +15,10 @@ from ladlasso.locus import (
     OUTER_SEARCHES,
     SEARCH,
     LocusPoint,
+    _Certificate,
     _CurveEvaluator,
     _basis_dual,
     axes_by_influence,
-    certify,
     default_bracket,
     locus_value,
     sample_locus,
@@ -208,10 +208,11 @@ def test_certificate_never_below_the_true_gap(i, lam_zero, scale, data):
     spec, reference = _oracle_problem(i, lam_zero)
     step = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=spec.d, max_size=spec.d))
     beta = reference.beta.beta + scale * np.array(step)
-    point, value, gap = certify(spec, beta)
-    assert value == evaluate_objective(spec, point)
-    assert value <= evaluate_objective(spec, beta)
-    assert gap >= (value - reference.objective) / value - 1e-12
+    cert = _Certificate(spec)
+    cert.offer(beta[None])
+    assert cert.value == evaluate_objective(spec, cert.point)
+    assert cert.value <= evaluate_objective(spec, beta)
+    assert cert.gap >= (cert.value - reference.objective) / cert.value - 1e-12
 
 
 def test_certificate_holds_at_the_brute_force_optimum():
@@ -219,9 +220,10 @@ def test_certificate_holds_at_the_brute_force_optimum():
     for i in range(len(ORACLE_GRID)):
         for lam_zero in (False, True):
             spec, reference = _oracle_problem(i, lam_zero)
-            _, value, gap = certify(spec, reference.beta)
-            assert value <= reference.objective
-            worst = max(worst, gap)
+            cert = _Certificate(spec)
+            cert.offer(reference.beta.beta[None])
+            assert cert.value <= reference.objective
+            worst = max(worst, cert.gap)
     assert worst <= GAP_TOL
 
 
@@ -264,9 +266,10 @@ def test_degenerate_optimum_is_certified(lam):
         for m in (10, 30):
             spec = make_problem(seed=60 + d, d=d, m=m, lam=lam, noise=0.0, outliers=0.0)
             optimum = solve_lp(spec)
-            point, value, gap = certify(spec, optimum.beta)
-            assert rel_gap(value, optimum.objective) <= 1e-12
-            assert gap <= GAP_TOL, (d, m)
+            cert = _Certificate(spec)
+            cert.offer(optimum.beta.beta[None])
+            assert rel_gap(cert.value, optimum.objective) <= 1e-12
+            assert cert.gap <= GAP_TOL, (d, m)
             assert solve_locus(spec).converged, (d, m)
 
 
