@@ -23,11 +23,13 @@ byte-stable for fixed seeds and configs apart from the wall-time columns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import statistics
 import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, TextIO
 
 from .brute import check_enumeration_size, solve_brute
 from .ccd import solve_ccd
@@ -153,6 +155,10 @@ def _check_instance_inner(task: dict) -> dict:
 
 
 def cmd_check(args) -> int:
+    return _with_outputs([args.out] if args.out else [], lambda files: _check(args, files))
+
+
+def _check(args, files) -> int:
     picker = Pcg32(args.seed)
     tasks = []
     for i in range(args.n_instances):
@@ -193,12 +199,8 @@ def cmd_check(args) -> int:
             v = row[col]
             cells.append(_sci(v) if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
-    if args.out:
-        try:
-            _write_lines(args.out, lines)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    for fh in files:
+        _write_lines(fh, lines)
 
     ok = True
     for s in CHECK_SOLVERS:
@@ -211,6 +213,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    paths = [args.out, _medians_path(args.out)]
+    return _with_outputs(paths, lambda files: _bench(args, paths, files))
+
+
+def _bench(args, paths, files) -> int:
     rows = []
     run_index = 0
     for d in args.d:
@@ -257,7 +264,6 @@ def cmd_bench(args) -> int:
         ]
         lines.append(",".join(cells))
 
-    medians_path = _medians_path(args.out)
     med_lines = ["solver,d,m,median_wall_time_s,median_objective"]
     for solver_id in args.solvers:
         for d in args.d:
@@ -273,19 +279,27 @@ def cmd_bench(args) -> int:
                 mt = statistics.median(r["wall_time_s"] for r in cell)
                 mo = statistics.median(r["objective"] for r in cell)
                 med_lines.append(f"{solver_id},{d},{m},{_sci(mt)},{_sci(mo)}")
-    try:
-        _write_lines(args.out, lines)
-        _write_lines(medians_path, med_lines)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {len(rows)} runs to {args.out}; per-cell medians to {medians_path}")
+    _write_lines(files[0], lines)
+    _write_lines(files[1], med_lines)
+    print(f"wrote {len(rows)} runs to {paths[0]}; per-cell medians to {paths[1]}")
     return 0
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _with_outputs(paths: list[str], run: Callable[[list[TextIO]], int]) -> int:
+    """``run(files)``, with ``paths`` opened (created or truncated) first, so
+    that an unwritable path exits 1 before any solve; a failed write exits 1
+    too.  The files are closed on return."""
+    try:
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(p, "w", encoding="ascii")) for p in paths]
+            return run(files)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _write_lines(fh: TextIO, lines: list[str]) -> None:
+    fh.write("\n".join(lines) + "\n")
 
 
 def _medians_path(out_path: str) -> str:

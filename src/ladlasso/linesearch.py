@@ -285,6 +285,9 @@ def expand_bracket(g: Evaluator, bracket: Bracket, max_doublings: int = 60) -> B
     """Double a bracket until its interior holds a point strictly below both ends.
 
     For a convex evaluator that certificate implies a minimum lies inside.
+    The locus search passes a bracket already proven to hold the minimum
+    (``locus.proven_bracket``), so there it only guards against rounding and
+    against descents that stall above the curve.
     The bracket is extended on whichever side has the lower endpoint value
     (both sides on an exact tie); `UnboundedDirectionError` after
     ``max_doublings`` extensions means the function keeps descending, which a

@@ -10,6 +10,13 @@ bracket-searched with every probe valued by a restricted coordinate descent
 (the probed coordinate frozen), which lands on the corresponding point of
 the curve.
 
+The search starts on a bracket that provably holds the axis's coordinate
+of every minimiser (``proven_bracket``).  With p the axis's column less its
+projection on the other columns, p . (y - X beta) = p . y - beta_a ||p||^2
+for every beta, and Hoelder bounds the left side by ||p||_inf f(beta).  So
+with U >= f*, here the curve's value at the column's least-squares
+coefficient c = p . y / ||p||^2, |beta*_a - c| <= U ||p||_inf / ||p||^2.
+
 The minimum of the piecewise-linear objective sits at a vertex, where d of
 its m + d planes meet (x_i . beta = y_i, beta_j = 0).  The probes end near
 it, within bracket precision or where a descent stalls, so their nearest
@@ -40,7 +47,8 @@ import numpy as np
 from .brute import solve_linear_system
 from .ccd import ccd_descend
 from .errors import InvalidInputError
-from .linesearch import Bracket, SearchConfig, expand_bracket, quadrature_min, ternary_min
+from .linesearch import Bracket, Evaluator, SearchConfig, expand_bracket, quadrature_min
+from .linesearch import ternary_min
 from .lp import formulate, simplex_minimize
 from .model import GAP_TOL, Coefficients, Dataset, ProblemSpec, SolveResult, objective_value
 from .model import objective_values
@@ -71,13 +79,37 @@ def axes_by_influence(data: Dataset) -> list[int]:
 
 
 def default_bracket(data: Dataset) -> Bracket:
-    """A bracket so wide that a coefficient beyond it would already be
-    implausible on penalty grounds; the search validates it by expansion."""
+    """A guess, +-max|y| over the largest mean column magnitude, for where
+    ``proven_bracket`` has no proof; the search validates it by expansion."""
     column_scale = float(np.abs(data.x).mean(axis=0).max())
     radius = float(np.abs(data.y).max()) / column_scale if column_scale > 0 else np.inf
     if not np.isfinite(radius) or radius <= 0:
         radius = 1.0
     return Bracket(-radius, radius)
+
+
+def proven_bracket(g: Evaluator, spec: ProblemSpec, axis: int) -> Bracket:
+    """A bracket that holds coordinate ``axis`` of every minimiser (the proof
+    is in the module docstring), centred on c, where ``g`` is probed for U.
+
+    Its half-width is the lesser of U ||p||_inf / ||p||^2 and |c| + U /
+    lambda_eff, since lambda_eff |beta*_a| <= U.  Cut to the penalty
+    interval instead, it would end at the optimum on exact-fit data (U =
+    lambda_eff |c| at d = 1), and ``expand_bracket`` would extend it.  Where
+    p vanishes to numpy's rank tolerance (column ``axis`` lies in the
+    others' span: a duplicate, or m < d), or U = 0, ``default_bracket``
+    stands in.
+    """
+    col = spec.data.x[:, axis]
+    q, _ = np.linalg.qr(np.delete(spec.data.x, axis, axis=1))
+    p = col - q @ (q.T @ col)
+    pp = float(p @ p)
+    if pp <= (max(spec.m, spec.d) * np.finfo(float).eps) ** 2 * float(col @ col):
+        return default_bracket(spec.data)
+    c = float(p @ spec.data.y) / pp
+    u = g(c)
+    h = min(u * float(np.abs(p).max()) / pp, abs(c) + u / spec.lambda_eff)
+    return Bracket(c - h, c + h) if h > 0 else default_bracket(spec.data)
 
 
 def locus_value(
@@ -342,12 +374,12 @@ class _Certificate:
 def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult:
     """Global solve: search the curve along the most influential axis.
 
-    The bracket is expanded until it provably holds the curve's minimum and
-    then searched with ``SEARCH``, by ``outer_search`` (one of
-    ``OUTER_SEARCHES``).  After every round, and once the search ends, the
-    new probes are snapped (``_Certificate``); the first round whose lowest
-    snapped point is within ``GAP_TOL`` of the simplex's dual bound ends the
-    solve.  ``converged`` is exactly that test, and a search that ends
+    The search starts on ``proven_bracket``, which ``expand_bracket`` checks
+    against rounding and stalled descents, and runs with ``SEARCH``, by
+    ``outer_search`` (one of ``OUTER_SEARCHES``).  After every round, and
+    once the search ends, the new probes are snapped (``_Certificate``); the
+    first round whose lowest snapped point is within ``GAP_TOL`` of the
+    simplex's dual bound ends the solve.  ``converged`` is exactly that test, and a search that ends
     without it returns its own point uncertified.  ``iterations`` counts
     outer rounds, ``objective_evals`` curve evaluations.
     """
@@ -356,7 +388,7 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
     t0 = time.perf_counter()
     search = ternary_min if outer_search == "ternary" else quadrature_min
     curve = _CurveEvaluator(spec, axes_by_influence(spec.data)[0])
-    bracket = expand_bracket(curve, default_bracket(spec.data))
+    bracket = expand_bracket(curve, proven_bracket(curve, spec, curve.axis))
     outer = search(curve, bracket, SEARCH, curve.certified)
     curve.certified()
     cert = curve.cert

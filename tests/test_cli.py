@@ -96,7 +96,7 @@ class TestCheck:
 
         monkeypatch.setattr(locus, "SEARCH", SearchConfig(tolerance=0.9))
         out = tmp_path / "loose.csv"
-        code = main(["check", "--d", "2", "--m", "8", "--n-instances", "10",
+        code = main(["check", "--d", "2", "--m", "20", "--n-instances", "10",
                      "--seed", "3", "--out", str(out)])
         assert code != 0
         rows = read_csv_rows(out)
@@ -115,7 +115,13 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "seed" in err and "synthetic failure" in err
 
-    def test_unwritable_out_is_reported(self, tmp_path, capsys):
+    def test_unwritable_out_is_reported(self, tmp_path, monkeypatch, capsys):
+        import ladlasso.cli as cli
+
+        def unsolved(*args, **kw):
+            raise AssertionError("solved before the output was opened")
+
+        monkeypatch.setattr(cli, "solve_brute", unsolved)  # a crash would exit 3
         target = tmp_path / "missing-dir" / "x.csv"
         code = main(["check", "--d", "1", "--m", "4", "--n-instances", "2", "--out", str(target)])
         assert code == 1
@@ -163,7 +169,13 @@ class TestBench:
             pa.pop("wall_time_s"), pb.pop("wall_time_s")
             assert pa == pb
 
-    def test_unwritable_out_is_reported(self, tmp_path, capsys):
+    def test_unwritable_out_is_reported(self, tmp_path, monkeypatch, capsys):
+        import ladlasso.cli as cli
+
+        def unsolved(*args, **kw):
+            raise AssertionError("solved before the output was opened")
+
+        monkeypatch.setattr(cli, "run_solver", unsolved)
         target = tmp_path / "missing-dir" / "x.csv"
         code = main(["bench", "--d", "1", "--m", "10", "--repeats", "1", "--solvers", "lp",
                      "--out", str(target)])

@@ -21,12 +21,14 @@ from ladlasso.locus import (
     axes_by_influence,
     default_bracket,
     locus_value,
+    proven_bracket,
     sample_locus,
     solve_locus,
 )
 from ladlasso import lp
 from ladlasso.lp import formulate, simplex_minimize, solve_lp
-from ladlasso.model import GAP_TOL, Coefficients, ProblemSpec, axis_restriction, evaluate_objective
+from ladlasso.model import GAP_TOL, Coefficients, Dataset, ProblemSpec, axis_restriction
+from ladlasso.model import evaluate_objective
 from util import exact_curve, make_problem, rel_gap
 
 ORACLE_GRID = list(oracle_grid(200))
@@ -327,11 +329,73 @@ def test_search_stops_at_the_first_certified_round():
         checks.append(curve.certified())
         return checks[-1]
 
-    outer = ternary_min(curve, expand_bracket(curve, default_bracket(spec.data)), SEARCH, done)
+    bracket = expand_bracket(curve, proven_bracket(curve, spec, curve.axis))
+    outer = ternary_min(curve, bracket, SEARCH, done)
     assert checks[-1] and not any(checks[:-1])
     assert outer.rounds == res.iterations == len(checks) < 10
     assert len(curve.seen) == res.objective_evals
     assert curve.cert.value == res.objective
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    d=st.integers(1, 5),
+    extra=st.integers(1, 30),
+    lam=st.sampled_from((0.0, 0.01, 1.0, 10.0)),
+    scale=st.sampled_from((0.1, 1.0, 100.0)),
+    data=st.data(),
+)
+def test_coordinate_bound_holds_at_every_beta(seed, d, extra, lam, scale, data):
+    # |beta_a - c| <= f(beta) ||p||_inf / ||p||^2 at any beta, with p column a
+    # less its projection on the others (here by lstsq, not the helper's QR)
+    # and c = p . y / ||p||^2; the helper's bracket, valued at beta, holds beta_a
+    spec = make_problem(seed=seed, d=d, m=d + extra, lam=lam)
+    x, y = spec.data.x, spec.data.y
+    beta = scale * np.array(data.draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d)))
+    f = evaluate_objective(spec, beta)
+    a = data.draw(st.integers(0, d - 1))
+    rest = np.delete(x, a, axis=1)
+    p = x[:, a] - rest @ np.linalg.lstsq(rest, x[:, a], rcond=None)[0]
+    c = p @ y / (p @ p)
+    bound = f * np.abs(p).max() / (p @ p)
+    slack = 1e-9 * (abs(c) + bound + abs(beta[a]))
+    assert abs(beta[a] - c) <= bound + slack
+    bracket = proven_bracket(lambda t: f, spec, a)
+    assert bracket.lo - slack <= beta[a] <= bracket.hi + slack
+
+
+def test_proven_bracket_holds_the_brute_force_optimum():
+    for i in range(len(ORACLE_GRID)):
+        for lam_zero in (False, True):
+            spec, reference = _oracle_problem(i, lam_zero)
+            curve = _CurveEvaluator(spec, axes_by_influence(spec.data)[0])
+            bracket = proven_bracket(curve, spec, curve.axis)
+            assert bracket.lo <= reference.beta.beta[curve.axis] <= bracket.hi, (i, lam_zero)
+            # the probe at c, the bracket's midpoint up to rounding
+            assert abs(bracket.mid - curve.seen[0].t) <= 1e-12 * bracket.width
+
+
+@pytest.mark.parametrize("lam", (0.1, 0.0))
+@pytest.mark.parametrize("case", ("duplicate column", "m < d"))
+def test_column_in_the_others_span_falls_back_to_the_default_bracket(case, lam):
+    if case == "duplicate column":
+        data = make_problem(seed=4, d=2, m=10, lam=lam).data
+        data = Dataset(np.hstack((data.x, data.x[:, :1])), data.y)
+    else:
+        data = make_problem(seed=5, d=4, m=3, lam=lam).data
+    spec = ProblemSpec(data, lam)
+    axis = axes_by_influence(spec.data)[0]
+
+    def unprobed(t):
+        raise AssertionError("the fallback takes no probe")
+
+    assert proven_bracket(unprobed, spec, axis) == default_bracket(spec.data)
+    optimum = solve_brute(spec).objective
+    for outer_search in OUTER_SEARCHES:
+        res = solve_locus(spec, outer_search)
+        assert res.converged, outer_search
+        assert rel_gap(res.objective, optimum) <= GAP_TOL, outer_search
 
 
 @pytest.mark.parametrize("lam_zero", (False, True))
