@@ -12,8 +12,8 @@ bench   time the solvers over a (d, m) grid and write per-run and per-cell
         median CSVs suitable for plotting elsewhere.
 gen     write a synthetic dataset CSV plus a metadata sidecar.
 
-A bad flag value (an unknown ``bench`` solver, a negative lambda, d or m
-below 1, a ``check`` grid beyond brute force's caps) exits 2 with a usage
+A bad flag value (an unknown ``bench`` solver, a negative lambda, d, m or a
+count below 1, a ``check`` grid beyond brute force's caps) exits 2 with a usage
 message before any data is read or generated.
 
 All numeric output uses full-precision scientific notation.  Result CSVs are
@@ -399,7 +399,7 @@ def _check_flags(args) -> None:
     for solver_id in getattr(args, "solvers", []):
         if solver_id not in SOLVER_IDS:
             raise InvalidInputError(f"unknown solver {solver_id!r}")
-    for flag in ("n_instances", "repeats"):
+    for flag in ("n_instances", "repeats", "parallel"):
         if getattr(args, flag, 1) < 1:
             raise InvalidInputError(f"--{flag.replace('_', '-')} must be at least 1")
     # GenSpec bounds m and d from below only, so the smallest values decide

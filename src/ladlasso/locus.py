@@ -20,16 +20,18 @@ coefficient c = p . y / ||p||^2, |beta*_a - c| <= U ||p||_inf / ||p||^2.
 The minimum of the piecewise-linear objective sits at a vertex, where d of
 its m + d planes meet (x_i . beta = y_i, beta_j = 0).  The probes end near
 it, within bracket precision or where a descent stalls, so their nearest
-planes are the likely tight ones: after every round of the search
-``solve_locus`` snaps each new probe onto the lowest vertex of its nearest
-planes.  After the first round the simplex (``simplex_minimize``) solves
-the problem once; the dual point read off its final basis bounds the
-optimum from below.  The solve stops at the first round whose own lowest
-snapped point is within ``GAP_TOL`` of that bound: a GPU thread should do no
-work past a proven optimum.  Later probes descend from the lowest point at
-their coordinate on the edges through the simplex's vertex, where the curve
-runs near the optimum: a descent from the vertex with one coordinate moved
-can stall well above the curve.
+planes are the likely tight ones: at the first probe (at c) and after
+every round of the search ``solve_locus`` snaps each new probe onto the
+lowest vertex of its nearest planes.  At the first of these offers the
+simplex (``simplex_minimize``) solves the problem once; the dual point read
+off its final basis bounds the optimum from below.  The solve stops at the
+first offer whose own lowest snapped point is within ``GAP_TOL`` of that
+bound: a GPU thread should do no work past a proven optimum.  The first
+probe is offered before ``expand_bracket`` guards the bracket, so a solve
+that certifies there spends one descent and no round.  Later probes descend
+from the lowest point at their coordinate on the edges through the
+simplex's vertex, where the curve runs near the optimum: a descent from the
+vertex with one coordinate moved can stall well above the curve.
 ``sample_locus`` traces the curve on a grid, to test the monotonicity and
 convexity claims empirically.
 """
@@ -374,29 +376,34 @@ class _Certificate:
 def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult:
     """Global solve: search the curve along the most influential axis.
 
-    The search starts on ``proven_bracket``, which ``expand_bracket`` checks
-    against rounding and stalled descents, and runs with ``SEARCH``, by
-    ``outer_search`` (one of ``OUTER_SEARCHES``).  After every round, and
-    once the search ends, the new probes are snapped (``_Certificate``); the
-    first round whose lowest snapped point is within ``GAP_TOL`` of the
-    simplex's dual bound ends the solve.  ``converged`` is exactly that test, and a search that ends
-    without it returns its own point uncertified.  ``iterations`` counts
-    outer rounds, ``objective_evals`` curve evaluations.
+    The first probe, at c, valued by ``proven_bracket``, is snapped and
+    offered to the certificate (``_Certificate``) at once; if it is within
+    ``GAP_TOL`` of the simplex's dual bound the solve ends there, with
+    ``iterations == 0``.  Otherwise ``expand_bracket`` checks the bracket
+    against rounding and stalled descents, and the search runs on it with
+    ``SEARCH``, by ``outer_search`` (one of ``OUTER_SEARCHES``).  After
+    every round, and once the search ends, the new probes are offered; the
+    first round whose lowest snapped point certifies ends the solve.
+    ``converged`` is exactly that test, and a search that ends without it
+    returns its own point uncertified.  ``iterations`` counts outer rounds
+    (0: certified at the first probe), ``objective_evals`` curve evaluations.
     """
     if outer_search not in OUTER_SEARCHES:
         raise InvalidInputError(f"unknown outer search {outer_search!r}")
     t0 = time.perf_counter()
     search = ternary_min if outer_search == "ternary" else quadrature_min
     curve = _CurveEvaluator(spec, axes_by_influence(spec.data)[0])
-    bracket = expand_bracket(curve, proven_bracket(curve, spec, curve.axis))
-    outer = search(curve, bracket, SEARCH, curve.certified)
-    curve.certified()
+    bracket = proven_bracket(curve, spec, curve.axis)
+    rounds = 0
+    if not curve.certified():
+        rounds = search(curve, expand_bracket(curve, bracket), SEARCH, curve.certified).rounds
+        curve.certified()
     cert = curve.cert
     return SolveResult(
         beta=Coefficients(cert.point),
         objective=cert.value,
         solver_id=f"locus_{outer_search}",
-        iterations=outer.rounds,
+        iterations=rounds,
         objective_evals=len(curve.seen),
         wall_time=time.perf_counter() - t0,
         converged=bool(cert.gap <= GAP_TOL),

@@ -202,6 +202,10 @@ class TestBench:
     [
         pytest.param(["check", "--n-instances", "0"], "--n-instances must be at least 1",
                      id="check--n-instances=0"),
+        pytest.param(["check", "--parallel", "0"], "--parallel must be at least 1",
+                     id="check--parallel=0"),
+        pytest.param(["check", "--parallel", "-1"], "--parallel must be at least 1",
+                     id="check--parallel=-1"),
         pytest.param(["bench", "--repeats", "0"], "--repeats must be at least 1",
                      id="bench--repeats=0"),
         pytest.param(["check", "--d", "0"], "need m >= 1 and d >= 1", id="check--d=0"),

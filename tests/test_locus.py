@@ -317,24 +317,59 @@ def test_recorded_d8_misses_are_certified(m, seed, outer_search):
 
 
 def test_search_stops_at_the_first_certified_round():
+    # the first instance certifies at its first probe, the second (a
+    # benchmark instance of test_stalled_descents_are_pivoted_past) after rounds
+    for problem, first_probe in (
+        (dict(seed=6, d=3, m=12, lam=0.1), True),
+        (dict(seed=4126655609229043257, d=5, m=300, lam=0.1), False),
+    ):
+        spec = make_problem(**problem)
+        res = solve_locus(spec)
+        assert res.converged
+        # rerun the first axis, certifying at the first probe and after each
+        # round: the solve stopped at the first check that certified, long
+        # before the bracket tolerance
+        curve = _CurveEvaluator(spec, axes_by_influence(spec.data)[0])
+        checks = []
+
+        def done():
+            checks.append(curve.certified())
+            return checks[-1]
+
+        bracket = proven_bracket(curve, spec, curve.axis)
+        rounds = 0
+        if not done():
+            rounds = ternary_min(curve, expand_bracket(curve, bracket), SEARCH, done).rounds
+        assert checks[-1] and not any(checks[:-1])
+        assert (len(checks) == 1) == first_probe
+        assert rounds == res.iterations == len(checks) - 1 < 10
+        assert len(curve.seen) == res.objective_evals
+        assert curve.cert.value == res.objective
+
+
+def test_a_certified_first_probe_skips_the_bracket_guard_and_the_chop(monkeypatch):
+    import ladlasso.locus as locus
+
+    guarded = []
+    real = locus.expand_bracket
+
+    def counted(g, bracket, *args, **kwargs):
+        guarded.append(bracket)
+        return real(g, bracket, *args, **kwargs)
+
+    monkeypatch.setattr(locus, "expand_bracket", counted)
     spec = make_problem(seed=6, d=3, m=12, lam=0.1)
+    for outer_search in OUTER_SEARCHES:
+        res = solve_locus(spec, outer_search)
+        assert res.converged and res.iterations == 0 and res.objective_evals == 1, outer_search
+        assert rel_gap(res.objective, solve_lp(spec).objective) <= GAP_TOL
+    assert guarded == []
+    # a column in the others' span has no first probe: the default bracket is searched
+    data = make_problem(seed=4, d=2, m=10, lam=0.1).data
+    spec = ProblemSpec(Dataset(np.hstack((data.x, data.x[:, :1])), data.y), 0.1)
     res = solve_locus(spec)
-    assert res.converged
-    # rerun the first axis, certifying after each round: the solve stopped
-    # at the first round that certified, long before the bracket tolerance
-    curve = _CurveEvaluator(spec, axes_by_influence(spec.data)[0])
-    checks = []
-
-    def done():
-        checks.append(curve.certified())
-        return checks[-1]
-
-    bracket = expand_bracket(curve, proven_bracket(curve, spec, curve.axis))
-    outer = ternary_min(curve, bracket, SEARCH, done)
-    assert checks[-1] and not any(checks[:-1])
-    assert outer.rounds == res.iterations == len(checks) < 10
-    assert len(curve.seen) == res.objective_evals
-    assert curve.cert.value == res.objective
+    assert res.converged and res.iterations > 0
+    assert guarded == [default_bracket(spec.data)]
 
 
 @settings(max_examples=200, deadline=None)
