@@ -16,7 +16,7 @@ from ladlasso.brute import solve_brute
 from ladlasso.ccd import solve_ccd
 from ladlasso.datagen import GenSpec, generate
 from ladlasso.linesearch import Bracket
-from ladlasso.locus import axes_by_influence, sample_locus
+from ladlasso.locus import sample_locus, search_axis
 from ladlasso.model import ProblemSpec
 
 
@@ -34,7 +34,7 @@ def main() -> int:
         GenSpec(m=args.m, d=args.d, noise_sigma=1.0, outlier_fraction=0.2, seed=args.seed)
     )
     spec = ProblemSpec(data, args.lam)
-    axis = axes_by_influence(spec.data)[0]
+    axis = search_axis(spec.data)
     t_star = float(solve_brute(spec).beta.beta[axis])
     t_stall = float(solve_ccd(spec).beta.beta[axis])
     scale = 1.0 + abs(t_star)

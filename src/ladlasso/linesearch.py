@@ -33,6 +33,11 @@ Done = Callable[[], bool]
 
 # 1/phi: a golden-section point splits [lo, hi] at lo + GOLDEN * (hi - lo)
 GOLDEN = (5**0.5 - 1) / 2
+# the interior probes of a quadrature round
+PROBES = 8
+# the round cap of either search: a bracket can stop shrinking at rounding
+# short of its tolerance
+MAX_ROUNDS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,25 +109,14 @@ class Bracket:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bracket-search termination knobs.
-
-    ``tolerance`` is the final bracket width as a fraction of the *initial*
-    width, so the stopping rule is scale free.  ``probes`` only matters for
-    the quadrature search and must be at least 3 so each round strictly
-    shrinks the bracket.
-    """
+    """Bracket-search termination: ``tolerance`` is the final bracket width
+    as a fraction of the *initial* width, so the stopping rule is scale free."""
 
     tolerance: float = 1e-8
-    max_iterations: int = 200
-    probes: int = 8
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise InvalidInputError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be at least 1")
-        if self.probes < 3:
-            raise InvalidInputError("probes must be at least 3")
 
 
 @dataclass(frozen=True)
@@ -221,7 +215,7 @@ def ternary_min(
     # probe a step places is the one whose value is None
     t1, t2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
     v1 = v2 = None
-    while (hi - lo) > target and rounds < cfg.max_iterations:
+    while (hi - lo) > target and rounds < MAX_ROUNDS:
         for _ in range(2):
             if v1 is None:
                 v1 = g(t1)
@@ -250,11 +244,11 @@ def ternary_min(
 def quadrature_min(
     g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = None, done: Done | None = None
 ) -> SearchResult:
-    """Fixed-grid bracket search: ``probes`` equally spaced interior points per
+    """Fixed-grid bracket search: ``PROBES`` equally spaced interior points per
     round, then shrink to the two grid intervals adjacent to the best probe.
 
     Every round does identical work regardless of the data, and the bracket
-    width shrinks by the factor 2/(probes+1) per round; ``done`` as in ``ternary_min``.
+    width shrinks by the factor 2/(PROBES+1) per round; ``done`` as in ``ternary_min``.
     """
     cfg = cfg or SearchConfig()
     lo, hi = bracket.lo, bracket.hi
@@ -263,11 +257,11 @@ def quadrature_min(
     best.offer(bracket.mid, g(bracket.mid))
     evals = 1
     rounds = 0
-    while (hi - lo) > target and rounds < cfg.max_iterations:
-        h = (hi - lo) / (cfg.probes + 1)
-        ts = lo + h * np.arange(1, cfg.probes + 1)
+    while (hi - lo) > target and rounds < MAX_ROUNDS:
+        h = (hi - lo) / (PROBES + 1)
+        ts = lo + h * np.arange(1, PROBES + 1)
         vs = [g(float(t)) for t in ts]
-        evals += cfg.probes
+        evals += PROBES
         i = int(np.argmin(vs))
         best.offer(float(ts[i]), vs[i])
         lo = max(lo, float(ts[i]) - h)

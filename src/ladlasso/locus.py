@@ -16,6 +16,8 @@ projection on the other columns, p . (y - X beta) = p . y - beta_a ||p||^2
 for every beta, and Hoelder bounds the left side by ||p||_inf f(beta).  So
 with U >= f*, here the curve's value at the column's least-squares
 coefficient c = p . y / ||p||^2, |beta*_a - c| <= U ||p||_inf / ||p||^2.
+Also lambda_eff |beta*_a| <= lambda_eff ||beta*||_1 <= f* <= U, which alone
+bounds a column in the span of the others (p = 0, so c is taken as 0).
 
 The minimum of the piecewise-linear objective sits at a vertex, where d of
 its m + d planes meet (x_i . beta = y_i, beta_j = 0).  The probes end near
@@ -41,7 +43,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +50,14 @@ import numpy as np
 from .brute import solve_linear_system
 from .ccd import ccd_descend
 from .errors import InvalidInputError
-from .linesearch import Bracket, Evaluator, SearchConfig, expand_bracket, quadrature_min
-from .linesearch import ternary_min
+from .linesearch import Bracket, Done, Evaluator, SearchConfig, expand_bracket
+from .linesearch import quadrature_min, ternary_min
 from .lp import formulate, simplex_minimize
 from .model import GAP_TOL, Coefficients, Dataset, ProblemSpec, SolveResult, objective_value
 from .model import objective_values
 
 OUTER_SEARCHES = ("ternary", "quadrature")
-# the bracket search along the axis (8 probes per quadrature round)
+# the bracket search along the axis
 SEARCH = SearchConfig(tolerance=1e-9)
 
 # the snap tries every vertex of the d + SNAP_SPARE planes nearest the point
@@ -74,44 +75,41 @@ class LocusPoint:
     inner_converged: bool
 
 
-def axes_by_influence(data: Dataset) -> list[int]:
-    """All axes, most influential column first (ties by index).  Deterministic."""
+def search_axis(data: Dataset) -> int:
+    """The most influential axis, by column l1 norm; ties go to the lowest index."""
     influence = np.abs(data.x).sum(axis=0)
-    return sorted(range(data.d), key=lambda j: (-influence[j], j))
+    return int(influence.argmax())
 
 
-def default_bracket(data: Dataset) -> Bracket:
-    """A guess, +-max|y| over the largest mean column magnitude, for where
-    ``proven_bracket`` has no proof; the search validates it by expansion."""
-    column_scale = float(np.abs(data.x).mean(axis=0).max())
-    radius = float(np.abs(data.y).max()) / column_scale if column_scale > 0 else np.inf
-    if not np.isfinite(radius) or radius <= 0:
-        radius = 1.0
-    return Bracket(-radius, radius)
-
-
-def proven_bracket(g: Evaluator, spec: ProblemSpec, axis: int) -> Bracket:
+def proven_bracket(
+    g: Evaluator, spec: ProblemSpec, axis: int, done: Done | None = None
+) -> Bracket | None:
     """A bracket that holds coordinate ``axis`` of every minimiser (the proof
-    is in the module docstring), centred on c, where ``g`` is probed for U.
+    is in the module docstring), centred on c, where ``g`` is probed for U;
+    None if ``done``, asked after that probe, holds.
 
-    Its half-width is the lesser of U ||p||_inf / ||p||^2 and |c| + U /
-    lambda_eff, since lambda_eff |beta*_a| <= U.  Cut to the penalty
+    Its half-width is |c| + U / lambda_eff, since lambda_eff |beta*_a| <= U,
+    or U ||p||_inf / ||p||^2 where that is less.  Cut to the penalty
     interval instead, it would end at the optimum on exact-fit data (U =
     lambda_eff |c| at d = 1), and ``expand_bracket`` would extend it.  Where
     p vanishes to numpy's rank tolerance (column ``axis`` lies in the
-    others' span: a duplicate, or m < d), or U = 0, ``default_bracket``
-    stands in.
+    others' span: a duplicate, or m < d), c is 0 and the penalty term alone
+    holds.  U = 0 fits exactly and certifies at gap 0, so a caller that
+    passes the certificate as ``done`` never meets a zero-width bracket.
     """
     col = spec.data.x[:, axis]
     q, _ = np.linalg.qr(np.delete(spec.data.x, axis, axis=1))
     p = col - q @ (q.T @ col)
     pp = float(p @ p)
-    if pp <= (max(spec.m, spec.d) * np.finfo(float).eps) ** 2 * float(col @ col):
-        return default_bracket(spec.data)
-    c = float(p @ spec.data.y) / pp
+    in_span = pp <= (max(spec.m, spec.d) * np.finfo(float).eps) ** 2 * float(col @ col)
+    c = 0.0 if in_span else float(p @ spec.data.y) / pp
     u = g(c)
-    h = min(u * float(np.abs(p).max()) / pp, abs(c) + u / spec.lambda_eff)
-    return Bracket(c - h, c + h) if h > 0 else default_bracket(spec.data)
+    if done is not None and done():
+        return None
+    h = abs(c) + u / spec.lambda_eff
+    if not in_span:
+        h = min(u * float(np.abs(p).max()) / pp, h)
+    return Bracket(c - h, c + h)
 
 
 def locus_value(
@@ -166,44 +164,33 @@ class _CurveEvaluator:
     simplex has given a vertex, else from the nearest probe seen, the first
     from zero, taking ``line_steps`` (which cut zig-zags short but still
     stop only on a sweep without gain); a coordinate seen before is valued
-    by its first point, without a descent.  ``seen`` lists the probe points
-    in the order seen; their distinct coordinates are also kept sorted, for
-    bisection.
+    by its first point, without a descent.  The first offer runs the
+    simplex, and ``solve_locus`` offers its first probe before any other,
+    so the nearest probe serves only where the simplex ran out of pivots.
+    ``seen`` lists the probe points in the order seen.
     """
 
     def __init__(self, spec: ProblemSpec, axis: int):
         self.spec = spec
         self.axis = axis
         self.seen: list[LocusPoint] = []
-        # distinct probe coordinates, ascending, each with its first-seen point
-        self._ts: list[float] = []
-        self._firsts: list[int] = []
+        self._firsts: dict[float, LocusPoint] = {}  # each coordinate's first point
         self.cert = _Certificate(spec)
         self._offered = 0  # the probes seen before this were offered
         self._edges: np.ndarray | None = None  # of the simplex's vertex, once there is one
 
     def remember(self, pt: LocusPoint) -> None:
-        ts = self._ts
-        i = bisect_left(ts, pt.t)
-        if i == len(ts) or ts[i] != pt.t:
-            ts.insert(i, pt.t)
-            self._firsts.insert(i, len(self.seen))
+        self._firsts.setdefault(pt.t, pt)
         self.seen.append(pt)
 
     def _nearest(self, t: float) -> Coefficients | None:
-        """The closest point seen; between equally close neighbours the first seen."""
-        ts, firsts = self._ts, self._firsts
-        i = bisect_left(ts, t)
-        near = [k for k in (i - 1, i) if 0 <= k < len(ts)]
-        if not near:
-            return None
-        k = min(near, key=lambda k: (abs(ts[k] - t), firsts[k]))
-        return self.seen[firsts[k]].beta
+        """The closest point seen; between equally close ones the first seen."""
+        near = min(self.seen, key=lambda pt: abs(pt.t - t), default=None)
+        return None if near is None else near.beta
 
     def __call__(self, t: float) -> float:
-        i = bisect_left(self._ts, t)
-        if i < len(self._ts) and self._ts[i] == t:
-            return self.seen[self._firsts[i]].value  # seen before: no second descent
+        if t in self._firsts:
+            return self._firsts[t].value  # seen before: no second descent
         warm = self._nearest(t) if self.cert.warm is None else self._edge_start(t)
         pt = locus_value(self.spec, self.axis, t, warm, line_steps=True)
         self.remember(pt)
@@ -377,13 +364,14 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
     """Global solve: search the curve along the most influential axis.
 
     The first probe, at c, valued by ``proven_bracket``, is snapped and
-    offered to the certificate (``_Certificate``) at once; if it is within
-    ``GAP_TOL`` of the simplex's dual bound the solve ends there, with
-    ``iterations == 0``.  Otherwise ``expand_bracket`` checks the bracket
-    against rounding and stalled descents, and the search runs on it with
-    ``SEARCH``, by ``outer_search`` (one of ``OUTER_SEARCHES``).  After
-    every round, and once the search ends, the new probes are offered; the
-    first round whose lowest snapped point certifies ends the solve.
+    offered to the certificate (``_Certificate``) at once, whatever the
+    column; if it is within ``GAP_TOL`` of the simplex's dual bound the
+    solve ends there, with ``iterations == 0`` and no bracket built (an
+    exact fit, U = 0, always does).  Otherwise ``expand_bracket`` checks
+    the bracket against rounding and stalled descents, and the search runs
+    on it with ``SEARCH``, by ``outer_search`` (one of ``OUTER_SEARCHES``).
+    After every round, and once the search ends, the new probes are offered;
+    the first round whose lowest snapped point certifies ends the solve.
     ``converged`` is exactly that test, and a search that ends without it
     returns its own point uncertified.  ``iterations`` counts outer rounds
     (0: certified at the first probe), ``objective_evals`` curve evaluations.
@@ -392,10 +380,10 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
         raise InvalidInputError(f"unknown outer search {outer_search!r}")
     t0 = time.perf_counter()
     search = ternary_min if outer_search == "ternary" else quadrature_min
-    curve = _CurveEvaluator(spec, axes_by_influence(spec.data)[0])
-    bracket = proven_bracket(curve, spec, curve.axis)
+    curve = _CurveEvaluator(spec, search_axis(spec.data))
+    bracket = proven_bracket(curve, spec, curve.axis, curve.certified)
     rounds = 0
-    if not curve.certified():
+    if bracket is not None:
         rounds = search(curve, expand_bracket(curve, bracket), SEARCH, curve.certified).rounds
         curve.certified()
     cert = curve.cert

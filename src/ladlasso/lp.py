@@ -70,8 +70,10 @@ from .model import Coefficients, ProblemSpec, SolveResult, evaluate_objective
 PIVOT_RULE = "dantzig_with_bland_fallback"
 # the pivot budget; None allows 50 per column of the standard form
 MAX_PIVOTS: int | None = None
-# a reduced cost below -FEASIBILITY_TOL prices a column in, and a pivot
-# column entry above it bounds the step
+# a pivot column entry above FEASIBILITY_TOL bounds the step, and a reduced
+# cost below -FEASIBILITY_TOL * min(1, lambda_eff) prices a column in: once
+# every row fits (m < d at lambda = 0) the prices scale with lambda_eff, which
+# is 1e-9 at lambda = 0, so an absolute tolerance would price none in
 FEASIBILITY_TOL = 1e-9
 
 
@@ -149,6 +151,7 @@ def simplex_minimize(lp: LpStandardForm) -> SimplexSolution:
     m, d = x.shape
     n = c.size
     tol = FEASIBILITY_TOL
+    price_tol = tol * min(1.0, lp.spec.lambda_eff)
     max_pivots = MAX_PIVOTS if MAX_PIVOTS is not None else 50 * n
 
     basis = initial_basis(lp)
@@ -189,10 +192,10 @@ def simplex_minimize(lp: LpStandardForm) -> SimplexSolution:
         # their partners (price 2), so none of them could enter
         values = prices.tolist()
         if bland:
-            candidates = [q for q, v in enumerate(values) if v < -tol]
+            candidates = [q for q, v in enumerate(values) if v < -price_tol]
         else:
             low = min(values)
-            candidates = [q for q, v in enumerate(values) if v == low] if low < -tol else []
+            candidates = [q for q, v in enumerate(values) if v == low] if low < -price_tol else []
         if not candidates:
             converged = True
             break
@@ -210,9 +213,9 @@ def simplex_minimize(lp: LpStandardForm) -> SimplexSolution:
         breaks = eligible[np.lexsort((basis[eligible], rhs[eligible] / pivot_col[eligible]))]
         rates = 2.0 * c[basis[breaks]]
         rises = (rates * pivot_col[breaks]).cumsum()
-        # the first breakpoint past which the slope values[p] + rises is >= -tol,
-        # or the last one should rounding keep the slope below it
-        stop = min(int(rises.searchsorted(-tol - values[p])), len(breaks) - 1)
+        # the first breakpoint past which the slope values[p] + rises is >=
+        # -price_tol, or the last one should rounding keep the slope below it
+        stop = min(int(rises.searchsorted(-price_tol - values[p])), len(breaks) - 1)
         row = int(breaks[stop])
         if stop:  # each row passed hands its basic variable to the pair partner
             flips = breaks[:stop]

@@ -19,7 +19,7 @@ from ladlasso.cli import main
 from ladlasso.datagen import GenSpec, generate
 from ladlasso.fixtures import ccd_stall_problem, oracle_grid
 from ladlasso.linesearch import Bracket
-from ladlasso.locus import axes_by_influence, sample_locus, solve_locus
+from ladlasso.locus import sample_locus, search_axis, solve_locus
 from ladlasso.lp import formulate, initial_basis, simplex_minimize
 from ladlasso.model import Coefficients, ProblemSpec
 from util import rel_gap
@@ -197,7 +197,7 @@ def test_criterion_4_locus_observations():
             GenSpec(m=6 + k % 5, d=2, noise_sigma=1.0, outlier_fraction=0.2, seed=seed)
         )
         spec = ProblemSpec(data, (0.01, 0.1, 1.0)[k % 3])
-        axis = axes_by_influence(spec.data)[0]
+        axis = search_axis(spec.data)
         t_star = float(solve_brute(spec).beta.beta[axis])
         t_stall = float(solve_ccd(spec).beta.beta[axis])
         scale = 1.0 + abs(t_star)

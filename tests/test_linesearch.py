@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladlasso.errors import DegenerateInputError, UnboundedDirectionError
+from ladlasso import linesearch
 from ladlasso.linesearch import (
     GOLDEN,
+    PROBES,
     Bracket,
     PiecewiseLinear1D,
     SearchConfig,
@@ -88,10 +90,9 @@ class TestTernary:
             res = ternary_min(g, Bracket(-6.0, 6.0))
             assert res.value == pytest.approx(v_star, abs=1e-6, rel=1e-6)
 
-    def test_non_convergence_flag(self):
-        res = ternary_min(
-            lambda t: abs(t), Bracket(0.0, 1e6), SearchConfig(tolerance=1e-12, max_iterations=3)
-        )
+    def test_non_convergence_flag(self, monkeypatch):
+        monkeypatch.setattr(linesearch, "MAX_ROUNDS", 3)
+        res = ternary_min(lambda t: abs(t), Bracket(0.0, 1e6), SearchConfig(tolerance=1e-12))
         assert not res.converged
         assert np.isfinite(res.value)
 
@@ -121,22 +122,10 @@ class TestQuadrature:
         assert res.converged
         assert abs(res.t - 3.0) <= 1e-7
 
-    def test_three_probes_still_shrinks(self):
-        res = quadrature_min(
-            lambda t: abs(t - 3.0), Bracket(0.0, 10.0), SearchConfig(probes=3)
-        )
-        assert res.converged
-        assert abs(res.t - 3.0) <= 1e-7
-
-    def test_probe_floor(self):
-        with pytest.raises(Exception):
-            SearchConfig(probes=2)
-
     def test_shrink_rate_bound(self):
-        cfg = SearchConfig(probes=8)
-        res = quadrature_min(lambda t: abs(t + 2.0), Bracket(-11.0, 5.0), cfg)
+        res = quadrature_min(lambda t: abs(t + 2.0), Bracket(-11.0, 5.0))
         # stated bound is 2/(probes-1) per round; the grid actually does better
-        assert res.bracket.width <= 16.0 * (2.0 / (cfg.probes - 1)) ** res.rounds * (1 + 1e-8)
+        assert res.bracket.width <= 16.0 * (2.0 / (PROBES - 1)) ** res.rounds * (1 + 1e-8)
 
     def test_agrees_with_ternary_on_random_pwl(self):
         rng = np.random.default_rng(11)

@@ -18,11 +18,10 @@ from ladlasso.locus import (
     _Certificate,
     _CurveEvaluator,
     _basis_dual,
-    axes_by_influence,
-    default_bracket,
     locus_value,
     proven_bracket,
     sample_locus,
+    search_axis,
     solve_locus,
 )
 from ladlasso import lp
@@ -46,14 +45,14 @@ def test_single_variable_matches_median_oracle():
 def test_curve_value_at_optimal_coordinate_recovers_optimum():
     spec = make_problem(seed=14, d=2, m=8, lam=0.1)
     reference = solve_brute(spec)
-    axis = axes_by_influence(spec.data)[0]
+    axis = search_axis(spec.data)
     pt = locus_value(spec, axis, float(reference.beta.beta[axis]))
     assert pt.value == pytest.approx(reference.objective, rel=1e-8)
 
 
 def test_curve_points_are_axiswise_minima_off_axis():
     spec = make_problem(seed=15, d=2, m=8, lam=0.1)
-    axis = axes_by_influence(spec.data)[0]
+    axis = search_axis(spec.data)
     for t in (0.3, 0.3 + 1e-3):
         pt = locus_value(spec, axis, t)
         assert pt.inner_converged
@@ -93,7 +92,7 @@ def test_result_is_full_axiswise_minimum():
         res = solve_locus(spec)
         assert is_axiswise_minimum(spec, res.beta)
         # the searched coordinate sits on its own 1-D minimiser after the snap
-        axis = axes_by_influence(spec.data)[0]
+        axis = search_axis(spec.data)
         g = axis_restriction(spec, res.beta, axis)
         t_med, _ = weighted_median_min(g)
         assert abs(t_med - res.beta.beta[axis]) <= 1e-9 * (1 + abs(t_med))
@@ -112,12 +111,13 @@ def test_outer_searches_agree():
         assert vq == pytest.approx(vt, rel=1e-6, abs=1e-8)
 
 
-def test_axes_by_influence_ordering():
+def test_search_axis_is_the_most_influential_column():
     spec = make_problem(seed=45, d=3, m=6, lam=0.1)
-    order = axes_by_influence(spec.data)
     influence = np.abs(spec.data.x).sum(axis=0)
-    assert order[0] == int(np.argmax(influence))
-    assert sorted(order) == [0, 1, 2]
+    assert search_axis(spec.data) == int(np.argmax(influence))
+    # column l1 norms 1.5, 3, 3: ties go to the lowest index
+    tied = Dataset(np.array([[0.5, 1.0, -1.0], [1.0, 2.0, 2.0]]), np.array([1.0, 2.0]))
+    assert search_axis(tied) == 1
 
 
 class TestSampleLocus:
@@ -138,7 +138,7 @@ class TestSampleLocus:
         # between the plain-descent stall point and the optimum
         spec = make_problem(seed=52, d=2, m=8, lam=0.1)
         reference = solve_brute(spec)
-        axis = axes_by_influence(spec.data)[0]
+        axis = search_axis(spec.data)
         t_star = float(reference.beta.beta[axis])
         t_stall = float(solve_ccd(spec).beta.beta[axis])
         scale = 1.0 + abs(t_star)
@@ -329,16 +329,16 @@ def test_search_stops_at_the_first_certified_round():
         # rerun the first axis, certifying at the first probe and after each
         # round: the solve stopped at the first check that certified, long
         # before the bracket tolerance
-        curve = _CurveEvaluator(spec, axes_by_influence(spec.data)[0])
+        curve = _CurveEvaluator(spec, search_axis(spec.data))
         checks = []
 
         def done():
             checks.append(curve.certified())
             return checks[-1]
 
-        bracket = proven_bracket(curve, spec, curve.axis)
+        bracket = proven_bracket(curve, spec, curve.axis, done)
         rounds = 0
-        if not done():
+        if bracket is not None:
             rounds = ternary_min(curve, expand_bracket(curve, bracket), SEARCH, done).rounds
         assert checks[-1] and not any(checks[:-1])
         assert (len(checks) == 1) == first_probe
@@ -364,12 +364,33 @@ def test_a_certified_first_probe_skips_the_bracket_guard_and_the_chop(monkeypatc
         assert res.converged and res.iterations == 0 and res.objective_evals == 1, outer_search
         assert rel_gap(res.objective, solve_lp(spec).objective) <= GAP_TOL
     assert guarded == []
-    # a column in the others' span has no first probe: the default bracket is searched
+    # a column in the others' span that does not certify at its first probe:
+    # the guard gets the proven bracket, centred on 0
     data = make_problem(seed=4, d=2, m=10, lam=0.1).data
     spec = ProblemSpec(Dataset(np.hstack((data.x, data.x[:, :1])), data.y), 0.1)
     res = solve_locus(spec)
     assert res.converged and res.iterations > 0
-    assert guarded == [default_bracket(spec.data)]
+    bracket = proven_bracket(_CurveEvaluator(spec, search_axis(spec.data)), spec, 0)
+    assert search_axis(spec.data) == 0 and bracket.mid == 0.0
+    assert guarded == [bracket]
+
+
+@pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
+def test_an_exact_fit_certifies_at_the_first_probe(outer_search, monkeypatch):
+    # y = 0: the probe at c = 0 fits exactly (U = 0) and certifies at gap 0,
+    # so no zero-width bracket is built
+    import ladlasso.locus as locus
+
+    def unguarded(*args, **kwargs):
+        raise AssertionError("a certified first probe needs no bracket guard")
+
+    monkeypatch.setattr(locus, "expand_bracket", unguarded)
+    data = make_problem(seed=4, d=3, m=8, lam=0.1).data
+    for x in (data.x, np.hstack((data.x, data.x[:, :1]))):  # then the search axis, 0, duplicated
+        spec = ProblemSpec(Dataset(x, np.zeros(len(data.y))), 0.1)
+        res = solve_locus(spec, outer_search)
+        assert res.converged and res.iterations == 0 and res.objective_evals == 1
+        assert res.objective == 0.0 and not res.beta.beta.any()
 
 
 @settings(max_examples=200, deadline=None)
@@ -384,16 +405,25 @@ def test_a_certified_first_probe_skips_the_bracket_guard_and_the_chop(monkeypatc
 def test_coordinate_bound_holds_at_every_beta(seed, d, extra, lam, scale, data):
     # |beta_a - c| <= f(beta) ||p||_inf / ||p||^2 at any beta, with p column a
     # less its projection on the others (here by lstsq, not the helper's QR)
-    # and c = p . y / ||p||^2; the helper's bracket, valued at beta, holds beta_a
+    # and c = p . y / ||p||^2; where column a is duplicated p vanishes, and
+    # lambda_eff |beta_a| <= f(beta) holds instead; the helper's bracket,
+    # valued at beta, holds beta_a
     spec = make_problem(seed=seed, d=d, m=d + extra, lam=lam)
-    x, y = spec.data.x, spec.data.y
+    duplicate = data.draw(st.booleans())
+    if duplicate:  # column 0 again, as column d
+        x = spec.data.x
+        spec = ProblemSpec(Dataset(np.hstack((x, x[:, :1])), spec.data.y), lam)
+    x, y, d = spec.data.x, spec.data.y, spec.d
     beta = scale * np.array(data.draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d)))
     f = evaluate_objective(spec, beta)
     a = data.draw(st.integers(0, d - 1))
-    rest = np.delete(x, a, axis=1)
-    p = x[:, a] - rest @ np.linalg.lstsq(rest, x[:, a], rcond=None)[0]
-    c = p @ y / (p @ p)
-    bound = f * np.abs(p).max() / (p @ p)
+    if duplicate and a in (0, d - 1):
+        c, bound = 0.0, f / spec.lambda_eff
+    else:
+        rest = np.delete(x, a, axis=1)
+        p = x[:, a] - rest @ np.linalg.lstsq(rest, x[:, a], rcond=None)[0]
+        c = p @ y / (p @ p)
+        bound = f * np.abs(p).max() / (p @ p)
     slack = 1e-9 * (abs(c) + bound + abs(beta[a]))
     assert abs(beta[a] - c) <= bound + slack
     bracket = proven_bracket(lambda t: f, spec, a)
@@ -404,7 +434,7 @@ def test_proven_bracket_holds_the_brute_force_optimum():
     for i in range(len(ORACLE_GRID)):
         for lam_zero in (False, True):
             spec, reference = _oracle_problem(i, lam_zero)
-            curve = _CurveEvaluator(spec, axes_by_influence(spec.data)[0])
+            curve = _CurveEvaluator(spec, search_axis(spec.data))
             bracket = proven_bracket(curve, spec, curve.axis)
             assert bracket.lo <= reference.beta.beta[curve.axis] <= bracket.hi, (i, lam_zero)
             # the probe at c, the bracket's midpoint up to rounding
@@ -412,25 +442,36 @@ def test_proven_bracket_holds_the_brute_force_optimum():
 
 
 @pytest.mark.parametrize("lam", (0.1, 0.0))
-@pytest.mark.parametrize("case", ("duplicate column", "m < d"))
-def test_column_in_the_others_span_falls_back_to_the_default_bracket(case, lam):
-    if case == "duplicate column":
+@pytest.mark.parametrize("case", ("duplicate", "m < d"))
+def test_column_in_the_others_span_gets_a_bracket_centred_on_zero(case, lam):
+    # p vanishes, so c = 0 and the half-width is U / lambda_eff: lambda_eff
+    # |beta*_a| <= lambda_eff ||beta*||_1 <= f* <= U
+    if case == "duplicate":
         data = make_problem(seed=4, d=2, m=10, lam=lam).data
         data = Dataset(np.hstack((data.x, data.x[:, :1])), data.y)
     else:
         data = make_problem(seed=5, d=4, m=3, lam=lam).data
     spec = ProblemSpec(data, lam)
-    axis = axes_by_influence(spec.data)[0]
-
-    def unprobed(t):
-        raise AssertionError("the fallback takes no probe")
-
-    assert proven_bracket(unprobed, spec, axis) == default_bracket(spec.data)
-    optimum = solve_brute(spec).objective
+    curve = _CurveEvaluator(spec, search_axis(spec.data))
+    bracket = proven_bracket(curve, spec, curve.axis)
+    assert bracket.mid == 0.0 and [pt.t for pt in curve.seen] == [0.0]
+    reference = solve_brute(spec)
+    assert bracket.lo <= reference.beta.beta[curve.axis] <= bracket.hi
     for outer_search in OUTER_SEARCHES:
         res = solve_locus(spec, outer_search)
         assert res.converged, outer_search
-        assert rel_gap(res.objective, optimum) <= GAP_TOL, outer_search
+        assert rel_gap(res.objective, reference.objective) <= GAP_TOL, outer_search
+
+
+@pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
+def test_lambda_zero_with_fewer_rows_than_columns_is_certified(outer_search):
+    # every row fits at the optimum, so the simplex's prices scale with
+    # lambda_eff = 1e-9: priced against an absolute 1e-9 its basis stopped
+    # 1.0% above the optimum, and the bound read off it certified nothing
+    spec = make_problem(seed=10, d=4, m=3, lam=0.0)
+    res = solve_locus(spec, outer_search)
+    assert res.converged
+    assert rel_gap(res.objective, solve_brute(spec).objective) <= GAP_TOL
 
 
 @pytest.mark.parametrize("lam_zero", (False, True))
@@ -474,7 +515,7 @@ def test_exact_curve_is_convex(d):
     # for any d (the chop relies on it); probe descents can stall above it
     for k, lam in enumerate((0.01, 0.1, 1.0)):
         spec = make_problem(seed=100 * d + k, d=d, m=6 + 2 * d + k, lam=lam)
-        axis = axes_by_influence(spec.data)[0]
+        axis = search_axis(spec.data)
         t_star = solve_lp(spec).beta.beta[axis]
         ts = t_star + (1.0 + abs(t_star)) * np.linspace(-1.0, 1.0, 33)
         values = np.array([exact_curve(spec, axis, float(t)) for t in ts])
@@ -492,7 +533,7 @@ GOLDEN_MISS = dict(seed=3667430575337439012, d=3, m=12, lam=0.01)
 
 def test_edge_starts_lie_on_the_exact_curve_near_the_optimum():
     spec = make_problem(**GOLDEN_MISS)
-    axis = axes_by_influence(spec.data)[0]
+    axis = search_axis(spec.data)
     curve = _CurveEvaluator(spec, axis)
     curve.cert.offer(np.zeros((1, spec.d)))  # runs the simplex
     vertex = curve.cert.warm.beta

@@ -15,7 +15,7 @@ from ladlasso.lp import (
     solve_lp,
 )
 from ladlasso.linesearch import weighted_median_min
-from ladlasso.model import axis_restriction, evaluate_objective
+from ladlasso.model import GAP_TOL, axis_restriction, evaluate_objective
 from util import make_problem, rel_gap, tiny_problem
 
 
@@ -89,6 +89,17 @@ def test_matches_brute_force_on_200_instances():
         assert res.converged
         worst = max(worst, rel_gap(res.objective, reference.objective))
     assert worst < 1e-7
+
+
+def test_lambda_zero_with_fewer_rows_than_columns():
+    # every row fits at the optimum, so the prices scale with lambda_eff =
+    # 1e-9: priced against an absolute 1e-9 the simplex reported convergence
+    # 1.0% above the optimum (0.80 on other instances); the optimum is 1.1e-8
+    # here, where rounding alone puts the solvers 1.6e-7 apart
+    spec = make_problem(seed=10, d=4, m=3, lam=0.0)
+    res = solve_lp(spec)
+    assert res.converged
+    assert rel_gap(res.objective, solve_brute(spec).objective) <= GAP_TOL
 
 
 def test_complementarity_of_paired_variables():
