@@ -22,15 +22,18 @@ bounds a column in the span of the others (p = 0, so c is taken as 0).
 The minimum of the piecewise-linear objective sits at a vertex, where d of
 its m + d planes meet (x_i . beta = y_i, beta_j = 0).  The probes end near
 it, within bracket precision or where a descent stalls, so their nearest
-planes are the likely tight ones: at the first probe (at c) and after
-every round of the search ``solve_locus`` snaps each new probe onto the
-lowest vertex of its nearest planes.  At the first of these offers the
-simplex (``simplex_minimize``) solves the problem once; the dual point read
-off its final basis bounds the optimum from below.  The solve stops at the
-first offer whose own lowest snapped point is within ``GAP_TOL`` of that
-bound: a GPU thread should do no work past a proven optimum.  The first
-probe is offered before ``expand_bracket`` guards the bracket, so a solve
-that certifies there spends one descent and no round.  Later probes descend
+planes are the likely tight ones: ``solve_locus`` snaps each point it
+offers onto the lowest vertex of its nearest planes.  At the first offer
+the simplex (``simplex_minimize``) solves the problem once; the dual point
+read off its final basis bounds the optimum from below.  The solve stops at
+the first offer whose own lowest snapped point is within ``GAP_TOL`` of
+that bound: a GPU thread should do no work past a proven optimum.
+
+The search is entered where plain descent halts.  Unfrozen coordinate
+descent from zero halts at an axis-wise minimum, a point of the curve at
+its own coordinate on the axis, so it is offered first, before any bracket:
+the curve is searched only where that point does not certify.  The next
+offer is the probe at c, then every round of the search.  Probes descend
 from the lowest point at their coordinate on the edges through the
 simplex's vertex, where the curve runs near the optimum: a descent from the
 vertex with one coordinate moved can stall well above the curve.
@@ -62,6 +65,9 @@ SEARCH = SearchConfig(tolerance=1e-9)
 
 # the snap tries every vertex of the d + SNAP_SPARE planes nearest the point
 SNAP_SPARE = 3
+# a probe within this many ulps of a coordinate seen reuses that point: the
+# bracket's midpoint 0.5 * (lo + hi) lands a few ulps off the first probe
+SAME_T_ULPS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,27 +167,23 @@ class _CurveEvaluator:
     """Evaluates the curve value at t with one restricted descent per probe.
 
     Each probe descends from the edge start (``_edge_start``) once the
-    simplex has given a vertex, else from the nearest probe seen, the first
+    simplex has given a vertex, else from the nearest point seen, the first
     from zero, taking ``line_steps`` (which cut zig-zags short but still
-    stop only on a sweep without gain); a coordinate seen before is valued
-    by its first point, without a descent.  The first offer runs the
-    simplex, and ``solve_locus`` offers its first probe before any other,
-    so the nearest probe serves only where the simplex ran out of pivots.
-    ``seen`` lists the probe points in the order seen.
+    stop only on a sweep without gain); a coordinate within ``SAME_T_ULPS``
+    ulps of one seen before is valued by the first such point, without a
+    descent.  The first offer runs the simplex, and ``solve_locus`` offers
+    the halting point before any probe, so the nearest point serves only
+    where the simplex ran out of pivots.  ``seen`` lists the points in the
+    order seen, the halting point first.
     """
 
     def __init__(self, spec: ProblemSpec, axis: int):
         self.spec = spec
         self.axis = axis
         self.seen: list[LocusPoint] = []
-        self._firsts: dict[float, LocusPoint] = {}  # each coordinate's first point
         self.cert = _Certificate(spec)
-        self._offered = 0  # the probes seen before this were offered
+        self._offered = 0  # the points seen before this were offered
         self._edges: np.ndarray | None = None  # of the simplex's vertex, once there is one
-
-    def remember(self, pt: LocusPoint) -> None:
-        self._firsts.setdefault(pt.t, pt)
-        self.seen.append(pt)
 
     def _nearest(self, t: float) -> Coefficients | None:
         """The closest point seen; between equally close ones the first seen."""
@@ -189,11 +191,13 @@ class _CurveEvaluator:
         return None if near is None else near.beta
 
     def __call__(self, t: float) -> float:
-        if t in self._firsts:
-            return self._firsts[t].value  # seen before: no second descent
+        tol = SAME_T_ULPS * math.ulp(t)
+        for pt in self.seen:
+            if abs(pt.t - t) <= tol:
+                return pt.value  # seen before, up to rounding: no second descent
         warm = self._nearest(t) if self.cert.warm is None else self._edge_start(t)
         pt = locus_value(self.spec, self.axis, t, warm, line_steps=True)
-        self.remember(pt)
+        self.seen.append(pt)
         return pt.value
 
     def _edge_start(self, t: float) -> Coefficients:
@@ -363,29 +367,38 @@ class _Certificate:
 def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult:
     """Global solve: search the curve along the most influential axis.
 
-    The first probe, at c, valued by ``proven_bracket``, is snapped and
-    offered to the certificate (``_Certificate``) at once, whatever the
-    column; if it is within ``GAP_TOL`` of the simplex's dual bound the
-    solve ends there, with ``iterations == 0`` and no bracket built (an
-    exact fit, U = 0, always does).  Otherwise ``expand_bracket`` checks
-    the bracket against rounding and stalled descents, and the search runs
-    on it with ``SEARCH``, by ``outer_search`` (one of ``OUTER_SEARCHES``).
-    After every round, and once the search ends, the new probes are offered;
-    the first round whose lowest snapped point certifies ends the solve.
-    ``converged`` is exactly that test, and a search that ends without it
-    returns its own point uncertified.  ``iterations`` counts outer rounds
-    (0: certified at the first probe), ``objective_evals`` curve evaluations.
+    The halting point of unfrozen descent from zero (with line steps, as
+    the probes take) is the first point of the curve, at its own coordinate
+    on the axis.  It is snapped and offered to the certificate
+    (``_Certificate``); if it is within ``GAP_TOL`` of the simplex's dual
+    bound the solve ends there, with one descent and no bracket built (an
+    exact fit, where descent from zero halts at f = 0, always does).
+    Otherwise the probe at c, valued by ``proven_bracket``, is offered next,
+    whatever the column, and ends the solve the same way if it certifies.
+    Otherwise ``expand_bracket`` checks the bracket against rounding and
+    stalled descents, and the search runs on it with ``SEARCH``, by
+    ``outer_search`` (one of ``OUTER_SEARCHES``).  After every round, and
+    once the search ends, the new probes are offered; the first round whose
+    lowest snapped point certifies ends the solve.  ``converged`` is exactly
+    that test, and a search that ends without it returns its own point
+    uncertified.  ``iterations`` counts outer rounds (0: certified before
+    the search), ``objective_evals`` curve points, the halting point
+    included (1: certified at the halting point).
     """
     if outer_search not in OUTER_SEARCHES:
         raise InvalidInputError(f"unknown outer search {outer_search!r}")
     t0 = time.perf_counter()
     search = ternary_min if outer_search == "ternary" else quadrature_min
     curve = _CurveEvaluator(spec, search_axis(spec.data))
-    bracket = proven_bracket(curve, spec, curve.axis, curve.certified)
+    halt = ccd_descend(spec, np.zeros(spec.d), line_steps=True)
+    t = float(halt.beta.beta[curve.axis])
+    curve.seen.append(LocusPoint(t, halt.beta, halt.objective, halt.converged))
     rounds = 0
-    if bracket is not None:
-        rounds = search(curve, expand_bracket(curve, bracket), SEARCH, curve.certified).rounds
-        curve.certified()
+    if not curve.certified():
+        bracket = proven_bracket(curve, spec, curve.axis, curve.certified)
+        if bracket is not None:
+            rounds = search(curve, expand_bracket(curve, bracket), SEARCH, curve.certified).rounds
+            curve.certified()
     cert = curve.cert
     return SolveResult(
         beta=Coefficients(cert.point),

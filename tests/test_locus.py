@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladlasso.brute import solve_brute
-from ladlasso.ccd import is_axiswise_minimum, solve_ccd
+from ladlasso.ccd import ccd_descend, is_axiswise_minimum, solve_ccd
 from ladlasso.datagen import generate
 from ladlasso.errors import InvalidInputError
 from ladlasso.fixtures import ccd_stall_problem, oracle_grid
@@ -167,7 +167,7 @@ def test_nearest_probe_prefers_the_first_seen_on_equal_distance():
 
     def probe(t, tag):
         pt = LocusPoint(t, Coefficients(np.array([t, tag])), 0.0, True)
-        curve.remember(pt)
+        curve.seen.append(pt)
 
     assert curve._nearest(0.0) is None
     probe(1.0, 0.0)
@@ -316,33 +316,45 @@ def test_recorded_d8_misses_are_certified(m, seed, outer_search):
     assert rel_gap(res.objective, solve_lp(spec).objective) <= GAP_TOL
 
 
+def _offer_halting_point(curve, spec):
+    """Replay ``solve_locus``'s first offer: the halting point of unfrozen
+    descent from zero, at its own coordinate on the axis; whether it certifies."""
+    halt = ccd_descend(spec, np.zeros(spec.d), line_steps=True)
+    t = float(halt.beta.beta[curve.axis])
+    curve.seen.append(LocusPoint(t, halt.beta, halt.objective, halt.converged))
+    return curve.certified()
+
+
 def test_search_stops_at_the_first_certified_round():
-    # the first instance certifies at its first probe, the second (a
-    # benchmark instance of test_stalled_descents_are_pivoted_past) after rounds
-    for problem, first_probe in (
-        (dict(seed=6, d=3, m=12, lam=0.1), True),
-        (dict(seed=4126655609229043257, d=5, m=300, lam=0.1), False),
+    # the first instance (a benchmark instance of
+    # test_stalled_descents_are_pivoted_past) certifies at the halting point,
+    # the second at the probe at c, the third after rounds
+    for problem, offers in (
+        (dict(seed=4126655609229043257, d=5, m=300, lam=0.1), 1),
+        (dict(seed=3, d=3, m=12, lam=0.1), 2),
+        (dict(seed=6, d=3, m=12, lam=0.1), None),
     ):
         spec = make_problem(**problem)
         res = solve_locus(spec)
         assert res.converged
-        # rerun the first axis, certifying at the first probe and after each
-        # round: the solve stopped at the first check that certified, long
-        # before the bracket tolerance
+        # rerun the first axis, certifying at the halting point, at the probe
+        # at c and after each round: the solve stopped at the first check
+        # that certified, long before the bracket tolerance
         curve = _CurveEvaluator(spec, search_axis(spec.data))
-        checks = []
+        checks = [_offer_halting_point(curve, spec)]
 
         def done():
             checks.append(curve.certified())
             return checks[-1]
 
-        bracket = proven_bracket(curve, spec, curve.axis, done)
         rounds = 0
-        if bracket is not None:
-            rounds = ternary_min(curve, expand_bracket(curve, bracket), SEARCH, done).rounds
+        if not checks[0]:
+            bracket = proven_bracket(curve, spec, curve.axis, done)
+            if bracket is not None:
+                rounds = ternary_min(curve, expand_bracket(curve, bracket), SEARCH, done).rounds
         assert checks[-1] and not any(checks[:-1])
-        assert (len(checks) == 1) == first_probe
-        assert rounds == res.iterations == len(checks) - 1 < 10
+        assert len(checks) == offers if offers else len(checks) > 2
+        assert rounds == res.iterations == max(len(checks) - 2, 0) < 10
         assert len(curve.seen) == res.objective_evals
         assert curve.cert.value == res.objective
 
@@ -358,21 +370,91 @@ def test_a_certified_first_probe_skips_the_bracket_guard_and_the_chop(monkeypatc
         return real(g, bracket, *args, **kwargs)
 
     monkeypatch.setattr(locus, "expand_bracket", counted)
-    spec = make_problem(seed=6, d=3, m=12, lam=0.1)
+    # the halting point does not certify, the probe at c does
+    spec = make_problem(seed=3, d=3, m=12, lam=0.1)
+    assert not _offer_halting_point(_CurveEvaluator(spec, search_axis(spec.data)), spec)
     for outer_search in OUTER_SEARCHES:
         res = solve_locus(spec, outer_search)
-        assert res.converged and res.iterations == 0 and res.objective_evals == 1, outer_search
+        assert res.converged and res.iterations == 0 and res.objective_evals == 2, outer_search
         assert rel_gap(res.objective, solve_lp(spec).objective) <= GAP_TOL
     assert guarded == []
-    # a column in the others' span that does not certify at its first probe:
-    # the guard gets the proven bracket, centred on 0
-    data = make_problem(seed=4, d=2, m=10, lam=0.1).data
-    spec = ProblemSpec(Dataset(np.hstack((data.x, data.x[:, :1])), data.y), 0.1)
+    # a column in the others' span (m < d) that certifies at neither: the
+    # guard gets the proven bracket, centred on 0
+    spec = make_problem(seed=0, d=6, m=4, lam=0.1)
     res = solve_locus(spec)
     assert res.converged and res.iterations > 0
-    bracket = proven_bracket(_CurveEvaluator(spec, search_axis(spec.data)), spec, 0)
-    assert search_axis(spec.data) == 0 and bracket.mid == 0.0
+    curve = _CurveEvaluator(spec, search_axis(spec.data))
+    assert not _offer_halting_point(curve, spec)
+    bracket = proven_bracket(curve, spec, curve.axis)
+    assert bracket.mid == 0.0
     assert guarded == [bracket]
+
+
+@pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
+def test_a_certified_halting_point_skips_the_search(outer_search, monkeypatch):
+    import ladlasso.locus as locus
+
+    descents, calls = [], []
+    real_descend = locus.ccd_descend
+
+    def descend(spec, start, frozen_axis=None, line_steps=False):
+        descents.append((np.array(start, dtype=float), frozen_axis, line_steps))
+        return real_descend(spec, start, frozen_axis, line_steps)
+
+    def counted(name):
+        real = getattr(locus, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(locus, "ccd_descend", descend)
+    for name in ("proven_bracket", "expand_bracket", "ternary_min", "quadrature_min"):
+        monkeypatch.setattr(locus, name, counted(name))
+    # a benchmark instance whose halting point certifies: one descent,
+    # unfrozen and from zero, and no bracket or search
+    spec = make_problem(seed=4126655609229043257, d=5, m=300, lam=0.1)
+    res = solve_locus(spec, outer_search)
+    assert res.converged and res.iterations == 0 and res.objective_evals == 1
+    assert rel_gap(res.objective, solve_lp(spec).objective) <= GAP_TOL
+    [(start, frozen, line_steps)] = descents
+    assert not start.any() and frozen is None and line_steps
+    assert calls == []
+    # a halting miss goes on to the probe at c, the column's least-squares
+    # coefficient, which certifies there
+    descents.clear()
+    spec = make_problem(seed=3, d=3, m=12, lam=0.1)
+    res = solve_locus(spec, outer_search)
+    assert res.converged and res.iterations == 0 and res.objective_evals == 2
+    axis = search_axis(spec.data)
+    rest = np.delete(spec.data.x, axis, axis=1)
+    col = spec.data.x[:, axis]
+    p = col - rest @ np.linalg.lstsq(rest, col, rcond=None)[0]
+    assert [frozen for _, frozen, _ in descents] == [None, axis]
+    assert not descents[0][0].any()
+    assert descents[1][0][axis] == pytest.approx(p @ spec.data.y / (p @ p), rel=1e-12)
+    assert calls == ["proven_bracket"]
+
+
+@pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
+def test_a_loose_search_past_an_uncertified_halting_point_is_caught(outer_search, monkeypatch):
+    # negative control: where the halting point does not certify, a sloppy
+    # outer search must leave visible gaps
+    import ladlasso.locus as locus
+    from ladlasso.linesearch import SearchConfig
+
+    monkeypatch.setattr(locus, "SEARCH", SearchConfig(tolerance=0.9))
+    gaps = []
+    for seed in range(12):
+        spec = make_problem(seed=seed, d=5, m=300, lam=0.1)
+        if _offer_halting_point(_CurveEvaluator(spec, search_axis(spec.data)), spec):
+            continue
+        res = solve_locus(spec, outer_search)
+        gaps.append(rel_gap(res.objective, solve_lp(spec).objective))
+    assert len(gaps) >= 4
+    assert sum(gap >= 1e-5 for gap in gaps) > len(gaps) / 2, gaps
 
 
 @pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
@@ -437,8 +519,10 @@ def test_proven_bracket_holds_the_brute_force_optimum():
             curve = _CurveEvaluator(spec, search_axis(spec.data))
             bracket = proven_bracket(curve, spec, curve.axis)
             assert bracket.lo <= reference.beta.beta[curve.axis] <= bracket.hi, (i, lam_zero)
-            # the probe at c, the bracket's midpoint up to rounding
+            # the probe at c, the bracket's midpoint up to rounding, which
+            # the search's first probe there reuses without a descent
             assert abs(bracket.mid - curve.seen[0].t) <= 1e-12 * bracket.width
+            assert curve(bracket.mid) == curve.seen[0].value and len(curve.seen) == 1
 
 
 @pytest.mark.parametrize("lam", (0.1, 0.0))
@@ -563,6 +647,7 @@ def test_a_seen_coordinate_costs_no_descent(monkeypatch):
     curve = _CurveEvaluator(spec, 0)
     first = curve(1.25)
     assert curve(1.25) == first
+    assert curve(float(np.nextafter(1.25, 2.0))) == first  # an ulp off: rounding
     assert curve(-0.5) != first
     assert calls == [1.25, -0.5]
     assert [pt.t for pt in curve.seen] == [1.25, -0.5]

@@ -37,3 +37,19 @@ def test_find_ccd_stall_finds_the_pinned_fixture():
 def test_solve_digest():
     out = run_script("solve_digest.py", "--solvers", "lp")
     assert re.fullmatch(r"[0-9a-f]{40}  200 results  solvers=lp\n", out)
+
+
+def test_work_counts():
+    args = ("--pool", "oracle_small:7", "--solvers", "locus_ternary")
+    out = run_script("work_counts.py", *args)
+    header, row = out.splitlines()
+    assert header.split() == [
+        "solver", "solves", "descents", "m_x_median_calls", "outer_rounds",
+        "certified_before_search",
+    ]
+    name, solves, descents, work, rounds, before = row.split()
+    assert name == "locus_ternary"
+    assert int(descents) >= int(solves) >= int(before) > 0
+    assert int(work) > int(descents) and int(rounds) >= 0
+    # counts, not timings: a second run prints the same
+    assert run_script("work_counts.py", *args) == out
