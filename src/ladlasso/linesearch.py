@@ -9,12 +9,13 @@ locations; ``weighted_median_min`` computes that exactly.  Its rule, the
 half-weight crossing with the midpoint of a flat segment, lives in
 ``weighted_median_sorted``, and its sort in ``weighted_median_from``, which
 the coordinate descent's kernels call too.
-When only an evaluator is available two bracket searches are provided:
-``ternary_min`` (a golden-section chop: two new probes per round, each
-round after the first shrinks the bracket to 0.382 of its width) and
-``quadrature_min`` (a fixed interior grid of probes per round, so
-the work per round is constant and data independent - the control-flow
-shape that maps onto wide SIMD hardware without reductions).
+When only an evaluator is available two bracket searches are provided,
+two round rules over one loop (``_chop``): ``ternary_min`` (a
+golden-section chop: two new probes per round, each round after the first
+shrinks the bracket to 0.382 of its width) and ``quadrature_min`` (a fixed
+interior grid of probes per round, so the work per round is constant and
+data independent - the control-flow shape that maps onto wide SIMD
+hardware without reductions).
 ``expand_bracket`` grows a bracket until it provably contains a minimum of a
 convex evaluator.
 """
@@ -22,7 +23,7 @@ convex evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -173,21 +174,6 @@ def weighted_median_min(g: PiecewiseLinear1D) -> tuple[float, float]:
     return t_star, g(t_star)
 
 
-class _Best:
-    """Running best (t, value) over evaluated points; ties keep the earliest."""
-
-    __slots__ = ("t", "value")
-
-    def __init__(self):
-        self.t = np.nan
-        self.value = np.inf
-
-    def offer(self, t: float, value: float) -> None:
-        if value < self.value:
-            self.t = t
-            self.value = value
-
-
 def ternary_min(
     g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = None, done: Done | None = None
 ) -> SearchResult:
@@ -198,47 +184,15 @@ def ternary_min(
     of the bracket left, so one new probe at the mirror point restores the
     pair.  A round is two new probes: the first places the pair at 0.382 and
     0.618 of the bracket, later ones take two steps, so after k rounds the
-    bracket is 0.618**(2k - 1) of its width.  Returns the best point evaluated (the final bracket midpoint
-    unless an earlier probe was strictly better), so the result is never
-    worse than the value at the input bracket midpoint.  ``done``, if given,
-    is asked after each round; once it holds the search stops there, with
-    the rounds and evaluations so far and ``converged`` set.
+    bracket is 0.618**(2k - 1) of its width.  The bracket's midpoint is
+    valued first.  Returns the best point evaluated (the final bracket
+    midpoint unless an earlier probe was strictly better), so the result is
+    never worse than the value at the input bracket midpoint.  ``done``, if
+    given, is asked once the midpoint is valued and again after each round;
+    once it holds the search stops there, with the rounds and evaluations so
+    far and ``converged`` set.
     """
-    cfg = cfg or SearchConfig()
-    lo, hi = bracket.lo, bracket.hi
-    target = cfg.tolerance * (hi - lo)
-    best = _Best()
-    best.offer(bracket.mid, g(bracket.mid))
-    evals = 1
-    rounds = 0
-    # the pair t1 < t2 sits at the golden-section points of [lo, hi]; the
-    # probe a step places is the one whose value is None
-    t1, t2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-    v1 = v2 = None
-    while (hi - lo) > target and rounds < MAX_ROUNDS:
-        for _ in range(2):
-            if v1 is None:
-                v1 = g(t1)
-                best.offer(t1, v1)
-            else:
-                v2 = g(t2)
-                best.offer(t2, v2)
-            if v2 is None:
-                continue  # the first round places t2 before comparing
-            if v1 < v2:
-                hi, t2, v2 = t2, t1, v1
-                t1, v1 = hi - GOLDEN * (hi - lo), None
-            else:
-                lo, t1, v1 = t1, t2, v2
-                t2, v2 = lo + GOLDEN * (hi - lo), None
-        evals += 2
-        rounds += 1
-        if done is not None and done():
-            return SearchResult(best.t, best.value, rounds, evals, True, Bracket(lo, hi))
-    mid = 0.5 * (lo + hi)
-    best.offer(mid, g(mid))
-    evals += 1
-    return SearchResult(best.t, best.value, rounds, evals, (hi - lo) <= target, Bracket(lo, hi))
+    return _chop(_golden_rounds, g, bracket, cfg, done)
 
 
 def quadrature_min(
@@ -248,31 +202,75 @@ def quadrature_min(
     round, then shrink to the two grid intervals adjacent to the best probe.
 
     Every round does identical work regardless of the data, and the bracket
-    width shrinks by the factor 2/(PROBES+1) per round; ``done`` as in ``ternary_min``.
+    width shrinks by the factor 2/(PROBES+1) per round; the midpoint, the
+    result and ``done`` as in ``ternary_min``.
     """
-    cfg = cfg or SearchConfig()
-    lo, hi = bracket.lo, bracket.hi
-    target = cfg.tolerance * (hi - lo)
-    best = _Best()
-    best.offer(bracket.mid, g(bracket.mid))
-    evals = 1
-    rounds = 0
-    while (hi - lo) > target and rounds < MAX_ROUNDS:
+    return _chop(_grid_rounds, g, bracket, cfg, done)
+
+
+def _golden_rounds(g: Evaluator, lo: float, hi: float) -> Iterator[tuple[float, float]]:
+    """The bracket after each round of ``ternary_min``'s steps."""
+    # the pair t1 < t2 sits at the golden-section points of [lo, hi]; the
+    # probe a step places is the one whose value is None
+    t1, t2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    v1 = v2 = None
+    while True:
+        for _ in range(2):
+            if v1 is None:
+                v1 = g(t1)
+            else:
+                v2 = g(t2)
+            if v2 is None:
+                continue  # the first round places t2 before comparing
+            if v1 < v2:
+                hi, t2, v2 = t2, t1, v1
+                t1, v1 = hi - GOLDEN * (hi - lo), None
+            else:
+                lo, t1, v1 = t1, t2, v2
+                t2, v2 = lo + GOLDEN * (hi - lo), None
+        yield lo, hi
+
+
+def _grid_rounds(g: Evaluator, lo: float, hi: float) -> Iterator[tuple[float, float]]:
+    """The bracket after each round of ``quadrature_min``'s grid."""
+    while True:
         h = (hi - lo) / (PROBES + 1)
         ts = lo + h * np.arange(1, PROBES + 1)
-        vs = [g(float(t)) for t in ts]
-        evals += PROBES
-        i = int(np.argmin(vs))
-        best.offer(float(ts[i]), vs[i])
-        lo = max(lo, float(ts[i]) - h)
-        hi = min(hi, float(ts[i]) + h)
+        t = float(ts[int(np.argmin([g(float(probe)) for probe in ts]))])
+        lo, hi = max(lo, t - h), min(hi, t + h)
+        yield lo, hi
+
+
+def _chop(
+    rule, g: Evaluator, bracket: Bracket, cfg: SearchConfig | None, done: Done | None
+) -> SearchResult:
+    """The loop both searches share: value the bracket's midpoint, then run
+    ``rule``'s rounds until ``done`` holds, the bracket is ``cfg.tolerance``
+    of its first width or ``MAX_ROUNDS`` pass, and, unless ``done`` held,
+    value the final midpoint; the lowest point valued wins, ties to the
+    earliest."""
+    cfg = cfg or SearchConfig()
+    done = done or (lambda: False)
+    lo, hi = bracket.lo, bracket.hi
+    target = cfg.tolerance * (hi - lo)
+    seen: list[tuple[float, float]] = []
+
+    def value(t: float) -> float:
+        seen.append((t, g(t)))
+        return seen[-1][1]
+
+    value(bracket.mid)
+    rounds, stopped = 0, done()
+    brackets = rule(value, lo, hi)
+    while not stopped and (hi - lo) > target and rounds < MAX_ROUNDS:
+        lo, hi = next(brackets)
         rounds += 1
-        if done is not None and done():
-            return SearchResult(best.t, best.value, rounds, evals, True, Bracket(lo, hi))
-    mid = 0.5 * (lo + hi)
-    best.offer(mid, g(mid))
-    evals += 1
-    return SearchResult(best.t, best.value, rounds, evals, (hi - lo) <= target, Bracket(lo, hi))
+        stopped = done()
+    if not stopped:
+        value(0.5 * (lo + hi))
+    t, v = min(seen, key=lambda point: point[1])
+    converged = stopped or (hi - lo) <= target
+    return SearchResult(t, v, rounds, len(seen), converged, Bracket(lo, hi))
 
 
 def expand_bracket(g: Evaluator, bracket: Bracket, max_doublings: int = 60) -> Bracket:

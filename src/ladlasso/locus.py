@@ -14,9 +14,10 @@ The search starts on a bracket that provably holds the axis's coordinate
 of every minimiser (``proven_bracket``).  With p the axis's column less its
 projection on the other columns, p . (y - X beta) = p . y - beta_a ||p||^2
 for every beta, and Hoelder bounds the left side by ||p||_inf f(beta).  So
-with U >= f*, here the curve's value at the column's least-squares
-coefficient c = p . y / ||p||^2, |beta*_a - c| <= U ||p||_inf / ||p||^2.
-Also lambda_eff |beta*_a| <= lambda_eff ||beta*||_1 <= f* <= U, which alone
+with U >= f*, here the certificate's lowest value (the objective at a point
+offered to it), and the column's least-squares coefficient
+c = p . y / ||p||^2, |beta*_a - c| <= U ||p||_inf / ||p||^2.  Also
+lambda_eff |beta*_a| <= lambda_eff ||beta*||_1 <= f* <= U, which alone
 bounds a column in the span of the others (p = 0, so c is taken as 0).
 
 The minimum of the piecewise-linear objective sits at a vertex, where d of
@@ -33,8 +34,9 @@ The search is entered where plain descent halts.  Unfrozen coordinate
 descent from zero halts at an axis-wise minimum, a point of the curve at
 its own coordinate on the axis, so it is offered first, before any bracket:
 the curve is searched only where that point does not certify.  The next
-offer is the probe at c, then every round of the search.  Probes descend
-from the lowest point at their coordinate on the edges through the
+offer is the bracket's midpoint c, the chop's first probe, together with
+the bracket guard's two ends, then every round of the search.  Probes
+descend from the lowest point at their coordinate on the edges through the
 simplex's vertex, where the curve runs near the optimum: a descent from the
 vertex with one coordinate moved can stall well above the curve.
 ``sample_locus`` traces the curve on a grid, to test the monotonicity and
@@ -53,7 +55,7 @@ import numpy as np
 from .brute import solve_linear_system
 from .ccd import ccd_descend
 from .errors import InvalidInputError
-from .linesearch import Bracket, Done, Evaluator, SearchConfig, expand_bracket
+from .linesearch import Bracket, SearchConfig, expand_bracket
 from .linesearch import quadrature_min, ternary_min
 from .lp import formulate, simplex_minimize
 from .model import GAP_TOL, Coefficients, Dataset, ProblemSpec, SolveResult, objective_value
@@ -66,7 +68,9 @@ SEARCH = SearchConfig(tolerance=1e-9)
 # the snap tries every vertex of the d + SNAP_SPARE planes nearest the point
 SNAP_SPARE = 3
 # a probe within this many ulps of a coordinate seen reuses that point: the
-# bracket's midpoint 0.5 * (lo + hi) lands a few ulps off the first probe
+# midpoint of a bracket that ``expand_bracket`` doubled can land a few ulps
+# off one of its old ends (oracle-grid instance 132, the only such case on
+# the oracle sweep, the d = 8 grid and the benchmark pools)
 SAME_T_ULPS = 8
 
 
@@ -87,12 +91,9 @@ def search_axis(data: Dataset) -> int:
     return int(influence.argmax())
 
 
-def proven_bracket(
-    g: Evaluator, spec: ProblemSpec, axis: int, done: Done | None = None
-) -> Bracket | None:
-    """A bracket that holds coordinate ``axis`` of every minimiser (the proof
-    is in the module docstring), centred on c, where ``g`` is probed for U;
-    None if ``done``, asked after that probe, holds.
+def proven_bracket(spec: ProblemSpec, axis: int, u: float) -> Bracket:
+    """A bracket that holds coordinate ``axis`` of every minimiser, given any
+    U = ``u`` >= f* (the proof is in the module docstring), centred on c.
 
     Its half-width is |c| + U / lambda_eff, since lambda_eff |beta*_a| <= U,
     or U ||p||_inf / ||p||^2 where that is less.  Cut to the penalty
@@ -100,8 +101,8 @@ def proven_bracket(
     lambda_eff |c| at d = 1), and ``expand_bracket`` would extend it.  Where
     p vanishes to numpy's rank tolerance (column ``axis`` lies in the
     others' span: a duplicate, or m < d), c is 0 and the penalty term alone
-    holds.  U = 0 fits exactly and certifies at gap 0, so a caller that
-    passes the certificate as ``done`` never meets a zero-width bracket.
+    holds.  U must be positive: U = 0 fits exactly, where the bracket would
+    have no width.
     """
     col = spec.data.x[:, axis]
     q, _ = np.linalg.qr(np.delete(spec.data.x, axis, axis=1))
@@ -109,9 +110,6 @@ def proven_bracket(
     pp = float(p @ p)
     in_span = pp <= (max(spec.m, spec.d) * np.finfo(float).eps) ** 2 * float(col @ col)
     c = 0.0 if in_span else float(p @ spec.data.y) / pp
-    u = g(c)
-    if done is not None and done():
-        return None
     h = abs(c) + u / spec.lambda_eff
     if not in_span:
         h = min(u * float(np.abs(p).max()) / pp, h)
@@ -174,7 +172,8 @@ class _CurveEvaluator:
     descent.  The first offer runs the simplex, and ``solve_locus`` offers
     the halting point before any probe, so the nearest point serves only
     where the simplex ran out of pivots.  ``seen`` lists the points in the
-    order seen, the halting point first.
+    order seen: the halting point, then the bracket guard's ends and
+    midpoint, then the rounds' probes.
     """
 
     def __init__(self, spec: ProblemSpec, axis: int):
@@ -373,17 +372,17 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
     (``_Certificate``); if it is within ``GAP_TOL`` of the simplex's dual
     bound the solve ends there, with one descent and no bracket built (an
     exact fit, where descent from zero halts at f = 0, always does).
-    Otherwise the probe at c, valued by ``proven_bracket``, is offered next,
-    whatever the column, and ends the solve the same way if it certifies.
-    Otherwise ``expand_bracket`` checks the bracket against rounding and
-    stalled descents, and the search runs on it with ``SEARCH``, by
-    ``outer_search`` (one of ``OUTER_SEARCHES``).  After every round, and
-    once the search ends, the new probes are offered; the first round whose
-    lowest snapped point certifies ends the solve.  ``converged`` is exactly
-    that test, and a search that ends without it returns its own point
-    uncertified.  ``iterations`` counts outer rounds (0: certified before
-    the search), ``objective_evals`` curve points, the halting point
-    included (1: certified at the halting point).
+    Otherwise ``proven_bracket`` builds the bracket from the certificate's
+    lowest value, ``expand_bracket`` checks it against rounding and stalled
+    descents, and the search runs on it with ``SEARCH``, by
+    ``outer_search`` (one of ``OUTER_SEARCHES``).  Once the search has
+    valued the bracket's midpoint, after every round, and once the search
+    ends, the new points are offered; the first offer that certifies ends
+    the solve.  ``converged`` is exactly that test, and a search that ends
+    without it returns its own point uncertified.  ``iterations`` counts
+    outer rounds (0: certified before any round), ``objective_evals`` curve
+    points, the halting point included (1: certified at the halting point,
+    4: at the midpoint of a bracket the guard left as it was).
     """
     if outer_search not in OUTER_SEARCHES:
         raise InvalidInputError(f"unknown outer search {outer_search!r}")
@@ -395,10 +394,9 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
     curve.seen.append(LocusPoint(t, halt.beta, halt.objective, halt.converged))
     rounds = 0
     if not curve.certified():
-        bracket = proven_bracket(curve, spec, curve.axis, curve.certified)
-        if bracket is not None:
-            rounds = search(curve, expand_bracket(curve, bracket), SEARCH, curve.certified).rounds
-            curve.certified()
+        bracket = expand_bracket(curve, proven_bracket(spec, curve.axis, curve.cert.value))
+        rounds = search(curve, bracket, SEARCH, curve.certified).rounds
+        curve.certified()
     cert = curve.cert
     return SolveResult(
         beta=Coefficients(cert.point),

@@ -123,7 +123,7 @@ class SolveResult:
 
     ``iterations`` and ``objective_evals`` mean slightly different things per
     solver (pivots for the simplex, vertices for brute force, sweeps and line
-    searches for coordinate descent, outer rounds and inner descents for the
+    searches for coordinate descent, outer rounds and curve points for the
     locus search); each solver documents its own counts.
     """
 

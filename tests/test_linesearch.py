@@ -191,7 +191,7 @@ class TestExpandBracket:
 
 
 @pytest.mark.parametrize("search, per_round", [(ternary_min, 2), (quadrature_min, 8)])
-@pytest.mark.parametrize("stop_at", [1, 2, 6])
+@pytest.mark.parametrize("stop_at", [0, 1, 2, 6])
 def test_search_stops_at_the_first_done_round(search, per_round, stop_at):
     probes = []
 
@@ -203,11 +203,13 @@ def test_search_stops_at_the_first_done_round(search, per_round, stop_at):
 
     def done():
         checks.append(len(probes))
-        return len(checks) == stop_at
+        return len(checks) == stop_at + 1
 
     res = search(g, Bracket(-4.0, 10.0), SearchConfig(), done)
-    # asked once after each round, with that round's probes made
-    assert checks == [1 + per_round * k for k in range(1, stop_at + 1)]
+    # asked once the midpoint is valued and once after each round, with
+    # that round's probes made
+    assert probes[0] == 3.0
+    assert checks == [1 + per_round * k for k in range(stop_at + 1)]
     assert res.rounds == stop_at
     assert res.evals == len(probes) == 1 + per_round * stop_at
     assert res.converged

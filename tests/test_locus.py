@@ -328,7 +328,8 @@ def _offer_halting_point(curve, spec):
 def test_search_stops_at_the_first_certified_round():
     # the first instance (a benchmark instance of
     # test_stalled_descents_are_pivoted_past) certifies at the halting point,
-    # the second at the probe at c, the third after rounds
+    # the second once the chop has valued its midpoint, the probe at c, the
+    # third after rounds
     for problem, offers in (
         (dict(seed=4126655609229043257, d=5, m=300, lam=0.1), 1),
         (dict(seed=3, d=3, m=12, lam=0.1), 2),
@@ -337,8 +338,9 @@ def test_search_stops_at_the_first_certified_round():
         spec = make_problem(**problem)
         res = solve_locus(spec)
         assert res.converged
-        # rerun the first axis, certifying at the halting point, at the probe
-        # at c and after each round: the solve stopped at the first check
+        # rerun the first axis, certifying at the halting point, then on the
+        # bracket proven from the certificate's best value at the chop's
+        # midpoint and after each round: the solve stopped at the first check
         # that certified, long before the bracket tolerance
         curve = _CurveEvaluator(spec, search_axis(spec.data))
         checks = [_offer_halting_point(curve, spec)]
@@ -349,45 +351,13 @@ def test_search_stops_at_the_first_certified_round():
 
         rounds = 0
         if not checks[0]:
-            bracket = proven_bracket(curve, spec, curve.axis, done)
-            if bracket is not None:
-                rounds = ternary_min(curve, expand_bracket(curve, bracket), SEARCH, done).rounds
+            bracket = expand_bracket(curve, proven_bracket(spec, curve.axis, curve.cert.value))
+            rounds = ternary_min(curve, bracket, SEARCH, done).rounds
         assert checks[-1] and not any(checks[:-1])
         assert len(checks) == offers if offers else len(checks) > 2
         assert rounds == res.iterations == max(len(checks) - 2, 0) < 10
         assert len(curve.seen) == res.objective_evals
         assert curve.cert.value == res.objective
-
-
-def test_a_certified_first_probe_skips_the_bracket_guard_and_the_chop(monkeypatch):
-    import ladlasso.locus as locus
-
-    guarded = []
-    real = locus.expand_bracket
-
-    def counted(g, bracket, *args, **kwargs):
-        guarded.append(bracket)
-        return real(g, bracket, *args, **kwargs)
-
-    monkeypatch.setattr(locus, "expand_bracket", counted)
-    # the halting point does not certify, the probe at c does
-    spec = make_problem(seed=3, d=3, m=12, lam=0.1)
-    assert not _offer_halting_point(_CurveEvaluator(spec, search_axis(spec.data)), spec)
-    for outer_search in OUTER_SEARCHES:
-        res = solve_locus(spec, outer_search)
-        assert res.converged and res.iterations == 0 and res.objective_evals == 2, outer_search
-        assert rel_gap(res.objective, solve_lp(spec).objective) <= GAP_TOL
-    assert guarded == []
-    # a column in the others' span (m < d) that certifies at neither: the
-    # guard gets the proven bracket, centred on 0
-    spec = make_problem(seed=0, d=6, m=4, lam=0.1)
-    res = solve_locus(spec)
-    assert res.converged and res.iterations > 0
-    curve = _CurveEvaluator(spec, search_axis(spec.data))
-    assert not _offer_halting_point(curve, spec)
-    bracket = proven_bracket(curve, spec, curve.axis)
-    assert bracket.mid == 0.0
-    assert guarded == [bracket]
 
 
 @pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
@@ -422,20 +392,23 @@ def test_a_certified_halting_point_skips_the_search(outer_search, monkeypatch):
     [(start, frozen, line_steps)] = descents
     assert not start.any() and frozen is None and line_steps
     assert calls == []
-    # a halting miss goes on to the probe at c, the column's least-squares
-    # coefficient, which certifies there
+    # a halting miss goes on to the proven bracket, its guard's two ends and
+    # midpoint, the column's least-squares coefficient c, and the search,
+    # which certifies once it has valued that midpoint, reused
     descents.clear()
     spec = make_problem(seed=3, d=3, m=12, lam=0.1)
     res = solve_locus(spec, outer_search)
-    assert res.converged and res.iterations == 0 and res.objective_evals == 2
+    assert res.converged and res.iterations == 0 and res.objective_evals == 4
     axis = search_axis(spec.data)
     rest = np.delete(spec.data.x, axis, axis=1)
     col = spec.data.x[:, axis]
     p = col - rest @ np.linalg.lstsq(rest, col, rcond=None)[0]
-    assert [frozen for _, frozen, _ in descents] == [None, axis]
+    assert [frozen for _, frozen, _ in descents] == [None, axis, axis, axis]
     assert not descents[0][0].any()
-    assert descents[1][0][axis] == pytest.approx(p @ spec.data.y / (p @ p), rel=1e-12)
-    assert calls == ["proven_bracket"]
+    lo, hi, mid = (start[axis] for start, _, _ in descents[1:])
+    assert lo < mid < hi and mid == 0.5 * (lo + hi)
+    assert mid == pytest.approx(p @ spec.data.y / (p @ p), rel=1e-12)
+    assert calls == ["proven_bracket", "expand_bracket", f"{outer_search}_min"]
 
 
 @pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
@@ -508,21 +481,18 @@ def test_coordinate_bound_holds_at_every_beta(seed, d, extra, lam, scale, data):
         bound = f * np.abs(p).max() / (p @ p)
     slack = 1e-9 * (abs(c) + bound + abs(beta[a]))
     assert abs(beta[a] - c) <= bound + slack
-    bracket = proven_bracket(lambda t: f, spec, a)
+    bracket = proven_bracket(spec, a, f)
     assert bracket.lo - slack <= beta[a] <= bracket.hi + slack
 
 
 def test_proven_bracket_holds_the_brute_force_optimum():
+    # U = f*, the tightest bound the proof allows
     for i in range(len(ORACLE_GRID)):
         for lam_zero in (False, True):
             spec, reference = _oracle_problem(i, lam_zero)
-            curve = _CurveEvaluator(spec, search_axis(spec.data))
-            bracket = proven_bracket(curve, spec, curve.axis)
-            assert bracket.lo <= reference.beta.beta[curve.axis] <= bracket.hi, (i, lam_zero)
-            # the probe at c, the bracket's midpoint up to rounding, which
-            # the search's first probe there reuses without a descent
-            assert abs(bracket.mid - curve.seen[0].t) <= 1e-12 * bracket.width
-            assert curve(bracket.mid) == curve.seen[0].value and len(curve.seen) == 1
+            axis = search_axis(spec.data)
+            bracket = proven_bracket(spec, axis, reference.objective)
+            assert bracket.lo <= reference.beta.beta[axis] <= bracket.hi, (i, lam_zero)
 
 
 @pytest.mark.parametrize("lam", (0.1, 0.0))
@@ -536,9 +506,12 @@ def test_column_in_the_others_span_gets_a_bracket_centred_on_zero(case, lam):
     else:
         data = make_problem(seed=5, d=4, m=3, lam=lam).data
     spec = ProblemSpec(data, lam)
+    # U is the certificate's best value once offered the halting point, as
+    # in solve_locus
     curve = _CurveEvaluator(spec, search_axis(spec.data))
-    bracket = proven_bracket(curve, spec, curve.axis)
-    assert bracket.mid == 0.0 and [pt.t for pt in curve.seen] == [0.0]
+    _offer_halting_point(curve, spec)
+    bracket = proven_bracket(spec, curve.axis, curve.cert.value)
+    assert bracket.mid == 0.0
     reference = solve_brute(spec)
     assert bracket.lo <= reference.beta.beta[curve.axis] <= bracket.hi
     for outer_search in OUTER_SEARCHES:
