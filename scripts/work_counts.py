@@ -8,7 +8,10 @@ Per solver, over every instance of the grid:
 - ``m_x_median_calls``: the sum over descents of m times the descent's
   weighted-median calls, the median kernel's work;
 - ``outer_rounds``: rounds of the bracket search;
-- ``certified_before_search``: solves certified before any round.
+- ``certified_before_search``: solves certified before any round;
+- ``certificate_simplex_runs``: solves whose certificate ran the simplex,
+  which it does only where the snapped vertex's own basis falls short;
+- ``certificate_pivots``: the pivots of those runs.
 
 The counts are the same on any host for the same code and grid, so they stand
 next to a timing whose spread turns on host load.  Instances come from the
@@ -32,7 +35,15 @@ from ladlasso.datagen import generate  # noqa: E402
 from ladlasso.fixtures import oracle_grid  # noqa: E402
 from ladlasso.model import ProblemSpec  # noqa: E402
 
-COLUMNS = ("solves", "descents", "m_x_median_calls", "outer_rounds", "certified_before_search")
+COLUMNS = (
+    "solves",
+    "descents",
+    "m_x_median_calls",
+    "outer_rounds",
+    "certified_before_search",
+    "certificate_simplex_runs",
+    "certificate_pivots",
+)
 
 
 def main() -> int:
@@ -51,7 +62,7 @@ def main() -> int:
     else:
         instances = list(oracle_grid(200))
 
-    real = locus.ccd_descend
+    real, real_simplex = locus.ccd_descend, locus.simplex_minimize
     counts = {s: dict.fromkeys(COLUMNS, 0) for s in solvers}
     current = None
 
@@ -61,7 +72,13 @@ def main() -> int:
         current["m_x_median_calls"] += spec.m * res.objective_evals
         return res
 
-    locus.ccd_descend = counted
+    def counted_simplex(*a, **kw):
+        sol = real_simplex(*a, **kw)
+        current["certificate_simplex_runs"] += 1
+        current["certificate_pivots"] += sol.pivots
+        return sol
+
+    locus.ccd_descend, locus.simplex_minimize = counted, counted_simplex
     try:
         for gen, lam in instances:
             data, _ = generate(gen)
@@ -73,7 +90,7 @@ def main() -> int:
                 current["outer_rounds"] += res.iterations
                 current["certified_before_search"] += res.converged and res.iterations == 0
     finally:
-        locus.ccd_descend = real
+        locus.ccd_descend, locus.simplex_minimize = real, real_simplex
 
     print("  ".join(("solver".ljust(16),) + COLUMNS))
     for solver, row in counts.items():

@@ -98,8 +98,17 @@ def read_dataset_csv(path) -> Dataset:
     names = lines[0].split(",")
     if len(names) < 2 or names[-1] != "y" or names[:-1] != [f"x{j + 1}" for j in range(len(names) - 1)]:
         raise InvalidInputError(f"{path}: header row 1 must be x1,...,xd,y, got {lines[0]!r}")
+    body = lines[1:]
+    # one numpy call (none on a body without data, where numpy warns); the loop
+    # below diagnoses, and reads what only float reads (such as "1_0")
+    try:
+        arr = np.loadtxt(body, delimiter=",", ndmin=2, comments=None) if any(body) else None
+    except ValueError:
+        arr = None
+    if arr is not None and arr.shape[1] == len(names):
+        return Dataset(arr[:, :-1], arr[:, -1])
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in enumerate(body, start=2):
         if not line:
             continue
         cells = line.split(",")

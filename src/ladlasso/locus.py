@@ -1,4 +1,4 @@
-"""Global search over the locus of axis-wise minima, certified by the simplex.
+"""Global search over the locus of axis-wise minima, certified by LP duality.
 
 Plain coordinate descent on this objective can halt at a point where every
 axis-parallel direction increases yet a diagonal direction still descends.
@@ -25,10 +25,12 @@ its m + d planes meet (x_i . beta = y_i, beta_j = 0).  The probes end near
 it, within bracket precision or where a descent stalls, so their nearest
 planes are the likely tight ones: ``solve_locus`` snaps each point it
 offers onto the lowest vertex of its nearest planes.  At the first offer
-the simplex (``simplex_minimize``) solves the problem once; the dual point
-read off its final basis bounds the optimum from below.  The solve stops at
-the first offer whose own lowest snapped point is within ``GAP_TOL`` of
-that bound: a GPU thread should do no work past a proven optimum.
+the dual point of that vertex's own basis bounds the optimum from below
+(Barrodale & Roberts 1973; Koenker & d'Orey 1987); only where that falls
+short does the simplex (``simplex_minimize``) run, started at that basis,
+and its final basis bound instead.  The solve stops at the first offer
+whose own lowest snapped point is within ``GAP_TOL`` of the bound: a GPU
+thread should do no work past a proven optimum.
 
 The search is entered where plain descent halts.  Unfrozen coordinate
 descent from zero halts at an axis-wise minimum, a point of the curve at
@@ -37,8 +39,8 @@ the curve is searched only where that point does not certify.  The next
 offer is the bracket's midpoint c, the chop's first probe, together with
 the bracket guard's two ends, then every round of the search.  Probes
 descend from the lowest point at their coordinate on the edges through the
-simplex's vertex, where the curve runs near the optimum: a descent from the
-vertex with one coordinate moved can stall well above the curve.
+certificate's vertex, where the curve runs near the optimum: a descent from
+the vertex with one coordinate moved can stall well above the curve.
 ``sample_locus`` traces the curve on a grid, to test the monotonicity and
 convexity claims empirically.
 """
@@ -59,7 +61,7 @@ from .linesearch import Bracket, SearchConfig, expand_bracket
 from .linesearch import quadrature_min, ternary_min
 from .lp import formulate, simplex_minimize
 from .model import GAP_TOL, Coefficients, Dataset, ProblemSpec, SolveResult, objective_value
-from .model import objective_values
+from .model import evaluate_objective, objective_values
 
 OUTER_SEARCHES = ("ternary", "quadrature")
 # the bracket search along the axis
@@ -165,15 +167,16 @@ class _CurveEvaluator:
     """Evaluates the curve value at t with one restricted descent per probe.
 
     Each probe descends from the edge start (``_edge_start``) once the
-    simplex has given a vertex, else from the nearest point seen, the first
+    certificate has a basis, else from the nearest point seen, the first
     from zero, taking ``line_steps`` (which cut zig-zags short but still
     stop only on a sweep without gain); a coordinate within ``SAME_T_ULPS``
     ulps of one seen before is valued by the first such point, without a
-    descent.  The first offer runs the simplex, and ``solve_locus`` offers
-    the halting point before any probe, so the nearest point serves only
-    where the simplex ran out of pivots.  ``seen`` lists the points in the
-    order seen: the halting point, then the bracket guard's ends and
-    midpoint, then the rounds' probes.
+    descent.  The first offer gives the certificate a basis unless every
+    snap is singular and the simplex runs out of pivots, and ``solve_locus``
+    offers the halting point before any probe, so the nearest point serves
+    only there.  ``seen`` lists the points in the order seen: the halting
+    point, then the bracket guard's ends and midpoint, then the rounds'
+    probes.
     """
 
     def __init__(self, spec: ProblemSpec, axis: int):
@@ -182,7 +185,7 @@ class _CurveEvaluator:
         self.seen: list[LocusPoint] = []
         self.cert = _Certificate(spec)
         self._offered = 0  # the points seen before this were offered
-        self._edges: np.ndarray | None = None  # of the simplex's vertex, once there is one
+        self._edges: np.ndarray | None = None  # of the certificate's vertex, once it has one
 
     def _nearest(self, t: float) -> Coefficients | None:
         """The closest point seen; between equally close ones the first seen."""
@@ -200,8 +203,8 @@ class _CurveEvaluator:
         return pt.value
 
     def _edge_start(self, t: float) -> Coefficients:
-        """The lowest point at t on the lines through the simplex's vertex
-        along ``_edges``, the vertex's own with only t moved among them."""
+        """The lowest point at t on the lines through the certificate's
+        vertex along ``_edges``, the vertex's own with only t moved among them."""
         if self._edges is None:
             self._edges = _edges(self.spec, self.cert.basis, self.axis)
         vertex = self.cert.warm.beta
@@ -220,13 +223,13 @@ class _CurveEvaluator:
         return self.cert.gap <= GAP_TOL
 
 
-def _snap(spec: ProblemSpec, betas: np.ndarray) -> tuple[float, np.ndarray]:
-    """(objective, vertex) of the lowest vertex among the d + ``SNAP_SPARE``
-    planes nearest any of the points ``betas`` (rows), all solved as one
-    stack by ``solve_linear_system``; ``(inf, betas[0])`` if all are
-    singular.  Planes 0..m-1 are the rows, at distance |r_i| / ||x_i||_1,
-    and m..m+d-1 the coefficients, at |beta_j|; ties go to the lower index,
-    then to the earlier point."""
+def _snap(spec: ProblemSpec, betas: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """(objective, vertex, its d planes) of the lowest vertex among the d +
+    ``SNAP_SPARE`` planes nearest any of the points ``betas`` (rows), all
+    solved as one stack by ``solve_linear_system``; ``(inf, betas[0],
+    None)`` if all are singular.  Planes 0..m-1 are the rows, at distance
+    |r_i| / ||x_i||_1, and m..m+d-1 the coefficients, at |beta_j|; ties go
+    to the lower index, then to the earlier point."""
     x, y = spec.data.x, spec.data.y
     d = spec.d
     norms = np.abs(x).sum(axis=1)  # a zero row's plane is infinitely far
@@ -246,8 +249,20 @@ def _snap(spec: ProblemSpec, betas: np.ndarray) -> tuple[float, np.ndarray]:
     values = np.concatenate([objective_values(x, y, spec.lambda_eff, v) for v in blocks])
     k = int(np.where(singular, np.inf, values).argmin())
     if singular[k]:
-        return np.inf, betas[0]
-    return objective_value(x, y, spec.lambda_eff, vertices[k]), vertices[k]
+        return np.inf, betas[0], None
+    return objective_value(x, y, spec.lambda_eff, vertices[k]), vertices[k], subsets[k]
+
+
+def _vertex_basis(spec: ProblemSpec, vertex: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """The simplex basis (``lp`` variable indices) of a vertex on the planes
+    ``planes`` (as ``_snap`` numbers them): each other row's residual part
+    and each other coefficient's part, by the sign of its value."""
+    d, m = spec.d, spec.m
+    off = np.ones(m + d, dtype=bool)
+    off[planes] = False
+    rows, cols = off[:m].nonzero()[0], off[m:].nonzero()[0]
+    r = spec.data.y[rows] - spec.data.x[rows] @ vertex
+    return np.concatenate((cols + d * (vertex[cols] < 0), 2 * d + rows + m * (r < 0)))
 
 
 def _tight_planes(spec: ProblemSpec, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,43 +335,52 @@ class _Certificate:
     """The lowest snapped point offered so far, a lower bound on the optimum
     and their relative gap (f - bound) / f; 0 where f = 0 = f*.
 
-    The first offer runs the simplex (``simplex_minimize``) once.  If it
-    converges, the dual point of its final basis (``_basis_dual``) gives the
-    bound y . u, and its vertex gives ``warm``, from which later probes
-    descend.  Each offer snaps its points to the lowest nearby vertex.  The
-    point stays the search's own until it certifies: only a certified point
-    gives way to a lower ``warm``, so a sloppy search stays visible."""
+    Each offer snaps its points to the lowest nearby vertex.  At the first,
+    the dual point (``_basis_dual``) of that vertex's own basis
+    (``_vertex_basis``) gives the bound y . u; where that falls short of
+    ``GAP_TOL``, the simplex (``simplex_minimize``) runs once from there
+    (cold if every snap was singular) and a converged final basis bounds
+    instead.  The basis's vertex is ``warm``, from which later probes
+    descend.  The point stays the search's own until it certifies: only a
+    certified point gives way to a lower ``warm``, so a sloppy search stays
+    visible."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self.point: np.ndarray | None = None
         self.value, self.bound = np.inf, -np.inf
         self.warm: Coefficients | None = None
-        self.basis: np.ndarray | None = None  # the simplex's final basis, with warm
+        self.basis: np.ndarray | None = None  # the basis of warm
         self._warm_value = np.inf
 
     def offer(self, betas: np.ndarray) -> None:
         """Snap the points ``betas`` (rows) and take the vertex (the lowest
-        point if lower); the first offer runs the simplex first."""
+        point if lower); the first offer then bounds the optimum."""
         x, y, lam = self.spec.data.x, self.spec.data.y, self.spec.lambda_eff
-        if self.point is None:
-            sol = simplex_minimize(formulate(self.spec))
-            if sol.converged:
-                d = self.spec.d
-                self.warm = Coefficients(sol.x[:d] - sol.x[d : 2 * d])
-                self.basis = sol.basis
-                self._warm_value = objective_value(x, y, lam, self.warm.beta)
-                self.bound = float(y @ _basis_dual(self.spec, sol.basis))
         beta = betas[int(objective_values(x, y, lam, betas).argmin())]
         value = objective_value(x, y, lam, beta)
-        f_vertex, vertex = _snap(self.spec, betas)
+        f_vertex, vertex, planes = _snap(self.spec, betas)
         if f_vertex <= value:
             beta, value = vertex, f_vertex
+        first = self.point is None
         if value < self.value:
             self.point, self.value = beta, value
+        if first and planes is not None:
+            self._bound_at(_vertex_basis(self.spec, vertex, planes), vertex)
+        if first and (planes is None or self.gap > GAP_TOL):  # no own basis: cold
+            sol = simplex_minimize(formulate(self.spec), self.basis)
+            if sol.converged:
+                d = self.spec.d
+                self._bound_at(sol.basis, sol.x[:d] - sol.x[d : 2 * d])
         if self.gap <= GAP_TOL and self._warm_value < self.value:
-            # the point certified on its own; the lower simplex vertex may replace it
+            # the point certified on its own; warm, if lower, may replace it
             self.point, self.value = self.warm.beta, self._warm_value
+
+    def _bound_at(self, basis: np.ndarray, vertex: np.ndarray) -> None:
+        """Take the bound y . u of ``basis``'s dual point, and its vertex as ``warm``."""
+        self.basis, self.warm = basis, Coefficients(vertex)
+        self._warm_value = evaluate_objective(self.spec, vertex)
+        self.bound = float(self.spec.data.y @ _basis_dual(self.spec, basis))
 
     @property
     def gap(self) -> float:
@@ -369,8 +393,8 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
     The halting point of unfrozen descent from zero (with line steps, as
     the probes take) is the first point of the curve, at its own coordinate
     on the axis.  It is snapped and offered to the certificate
-    (``_Certificate``); if it is within ``GAP_TOL`` of the simplex's dual
-    bound the solve ends there, with one descent and no bracket built (an
+    (``_Certificate``); if it is within ``GAP_TOL`` of the certificate's
+    dual bound the solve ends there, with one descent and no bracket built (an
     exact fit, where descent from zero halts at f = 0, always does).
     Otherwise ``proven_bracket`` builds the bracket from the certificate's
     lowest value, ``expand_bracket`` checks it against rounding and stalled

@@ -11,7 +11,9 @@ Because each back-to-back pair appears with opposite signs in the same
 column pair, a basis can hold at most one member of a pair, so at any basic
 solution min(bp_j, bn_j) = min(rp_i, rn_i) = 0 without extra constraints.
 Splitting the residuals by the sign of y also hands us a feasible starting
-basis for free, so no phase-1 is ever needed.
+basis for free, so no phase-1 is ever needed.  Any vertex's basis is a
+feasible start too: the residual parts of the rows off its planes and the
+parts of its nonzero coefficients, each chosen by the sign of its value.
 
 The simplex uses Dantzig pricing with a permanent switch to Bland's rule
 after a degenerate streak, and the pivot budget bounds the loop in any case;
@@ -141,11 +143,13 @@ def initial_basis(lp: LpStandardForm) -> np.ndarray:
     return 2 * d + np.arange(m) + m * (lp.rhs < 0)
 
 
-def simplex_minimize(lp: LpStandardForm) -> SimplexSolution:
-    """Primal simplex from the sign-split basis, with a long-step ratio test.
+def simplex_minimize(lp: LpStandardForm, start: np.ndarray | None = None) -> SimplexSolution:
+    """Primal simplex with a long-step ratio test, from the feasible basis
+    ``start`` (m variable indices) if given, else from the sign-split basis.
 
-    Raises SimplexError on detected unboundedness, which a well-formed
-    formulation cannot produce; treat it as a bug signal.
+    A start's narrow tableau is B^-1 [X | e_A | y], A its k active rows,
+    from one k x k solve.  Raises SimplexError on detected unboundedness,
+    which a well-formed formulation cannot produce; treat it as a bug signal.
     """
     x, b, c = lp.spec.data.x, lp.rhs, lp.cost
     m, d = x.shape
@@ -154,8 +158,6 @@ def simplex_minimize(lp: LpStandardForm) -> SimplexSolution:
     price_tol = tol * min(1.0, lp.spec.lambda_eff)
     max_pivots = MAX_PIVOTS if MAX_PIVOTS is not None else 50 * n
 
-    basis = initial_basis(lp)
-    sign = np.where(b >= 0, 1.0, -1.0)
     idx = np.arange(n)
     # mate[v] is the other member of v's pair
     mate = np.concatenate((idx[d : 2 * d], idx[:d], idx[2 * d + m :], idx[2 * d : 2 * d + m]))
@@ -167,20 +169,50 @@ def simplex_minimize(lp: LpStandardForm) -> SimplexSolution:
     # one contiguous vector.
     width = 2 * d + 1
     tableau = np.zeros((m + 2, width + 1))
-    tableau[:m, :d] = sign[:, None] * x
-    tableau[:m, width] = sign * b
     rhs = tableau[:m, width]
-    # every starting basic variable is a residual part, of cost 1 as formulate
-    # builds them
-    col_sums = tableau[:m, :d].sum(axis=0)
-    tableau[m, :d] = c[:d] - col_sums
-    tableau[m + 1, :d] = c[d : 2 * d] + col_sums
-    tableau[m:, d:] = math.inf
-    tableau[m + 1, width] = rhs.sum()
+    if start is None:
+        basis = initial_basis(lp)
+        sign = np.where(b >= 0, 1.0, -1.0)
+        tableau[:m, :d] = sign[:, None] * x
+        tableau[:m, width] = sign * b
+        # every starting basic variable is a residual part, of cost 1 as
+        # formulate builds them
+        col_sums = tableau[:m, :d].sum(axis=0)
+        tableau[m, :d] = c[:d] - col_sums
+        tableau[m + 1, :d] = c[d : 2 * d] + col_sums
+        tableau[m:, d:] = math.inf
+        tableau[m + 1, width] = rhs.sum()
+        # var[p] is the variable priced at prices[p]
+        var = list(range(d)) + [-1] * (d + 2) + list(range(d, 2 * d)) + [-1] * (d + 1)
+        free = list(range(width - 1, d - 1, -1))
+    else:
+        basis = start.copy()
+        parts = basis < 2 * d
+        sgn = np.where(np.where(parts, basis < d, basis < 2 * d + m), 1.0, -1.0)
+        on = (basis - 2 * d) % m  # the row of each residual part
+        active, cols = np.flatnonzero(np.bincount(on[~parts], minlength=m) == 0), basis[parts] % d
+        k = len(active)
+        v = np.zeros((m, d + k + 1))  # the columns X, e_A and y
+        v[:, :d], v[active, d + np.arange(k)], v[:, -1] = x, 1.0, b
+        z = np.linalg.solve(x[np.ix_(active, cols)], v[active])
+        t = v[on] - x[np.ix_(on, cols)] @ z
+        t[parts] = z
+        t *= sgn[:, None]
+        t[:, cols] = 0.0  # a basic column is exactly +-e_row
+        t[parts.nonzero()[0], cols] = sgn[parts]
+        t[:, -1] = np.maximum(t[:, -1], 0.0)  # rounding must not start it infeasible
+        tableau[:m, np.r_[: d + k, width]] = t
+        dual = c[basis] @ t  # c_B^T B^-1 [X | e_A | y]
+        cost = np.append(c[:d], c[2 * d + active])  # a pair's two parts cost the same
+        tableau[m, : d + k] = cost - dual[:-1]
+        tableau[m + 1, : d + k] = cost + dual[:-1]
+        tableau[m:, d + k :] = math.inf
+        tableau[m + 1, width] = dual[-1]
+        slots = (2 * d + active).tolist()  # active rows fill the first slots
+        var = list(range(d)) + slots + [-1] * (d + 2 - k)
+        var += list(range(d, 2 * d)) + [v + m for v in slots] + [-1] * (d + 1 - k)
+        free = list(range(width - 1, d + k - 1, -1))
     prices = tableau.reshape(-1)[m * (width + 1) : (m + 2) * (width + 1) - 1]
-    # var[p] is the variable priced at prices[p]
-    var = list(range(d)) + [-1] * (d + 2) + list(range(d, 2 * d)) + [-1] * (d + 1)
-    free = list(range(width - 1, d - 1, -1))
 
     bland = PIVOT_RULE == "bland"
     degenerate_streak = 0

@@ -143,6 +143,32 @@ def test_csv_diagnostics(tmp_path):
         read_dataset_csv(wrong_header)
 
 
+def test_csv_body_is_read_as_float_reads_each_cell(tmp_path, recwarn):
+    path = tmp_path / "data.csv"
+    # blank lines are skipped; what float reads but numpy does not still reads
+    path.write_text("x1,y\n1.0,2.0\n\n1_0,-3e2\n\n")
+    data = read_dataset_csv(path)
+    assert data.x.tolist() == [[1.0], [10.0]] and data.y.tolist() == [2.0, -300.0]
+    # numpy reads one short row as one column: still the row's diagnostic
+    path.write_text("x1,y\n1.0\n")
+    with pytest.raises(InvalidInputError, match="row 2 has 1 fields, header has 2"):
+        read_dataset_csv(path)
+    # '#' opens no comment
+    path.write_text("x1,y\n1.0,2.0\n#3.0,4.0\n")
+    with pytest.raises(InvalidInputError, match="row 3, column x1: cannot parse '#3.0'"):
+        read_dataset_csv(path)
+    path.write_text("x1,y\n1.0,2.0 # note\n")
+    with pytest.raises(InvalidInputError, match="row 2, column y"):
+        read_dataset_csv(path)
+    # a header alone, or with blank lines, has no data rows, and numpy is not
+    # asked to read it (it would warn)
+    for text in ("x1,y\n", "x1,y\n\n\n"):
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match="no data rows"):
+            read_dataset_csv(path)
+    assert not recwarn.list
+
+
 def test_shrinkage_path_is_monotone():
     data, _ = generate(GenSpec(m=12, d=5, n_informative=2, noise_sigma=0.0, seed=17))
     lam_top = float(np.abs(data.x).sum(axis=0).max()) * 1.05

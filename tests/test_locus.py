@@ -1,4 +1,5 @@
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from ladlasso.brute import solve_brute
 from ladlasso.ccd import ccd_descend, is_axiswise_minimum, solve_ccd
-from ladlasso.datagen import generate
+from ladlasso.datagen import GenSpec, generate
 from ladlasso.errors import InvalidInputError
 from ladlasso.fixtures import ccd_stall_problem, oracle_grid
 from ladlasso.linesearch import Bracket, expand_bracket, ternary_min, weighted_median_min
@@ -18,6 +19,8 @@ from ladlasso.locus import (
     _Certificate,
     _CurveEvaluator,
     _basis_dual,
+    _snap,
+    _vertex_basis,
     locus_value,
     proven_bracket,
     sample_locus,
@@ -409,6 +412,97 @@ def test_a_certified_halting_point_skips_the_search(outer_search, monkeypatch):
     assert lo < mid < hi and mid == 0.5 * (lo + hi)
     assert mid == pytest.approx(p @ spec.data.y / (p @ p), rel=1e-12)
     assert calls == ["proven_bracket", "expand_bracket", f"{outer_search}_min"]
+
+
+def _counted_simplex(monkeypatch):
+    """Record the start and the solution of each simplex the certificate runs."""
+    import ladlasso.locus as locus
+
+    runs = []
+
+    def counted(form, start=None):
+        runs.append((start, simplex_minimize(form, start)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(locus, "simplex_minimize", counted)
+    return runs
+
+
+def _halting_vertex_basis(curve, spec):
+    """The own basis of the snapped halting point, the certificate's first offer."""
+    _, vertex, planes = _snap(spec, curve.seen[0].beta.beta[None])
+    return _vertex_basis(spec, vertex, planes)
+
+
+def test_a_certifying_own_basis_runs_no_simplex(monkeypatch):
+    # a benchmark-sized instance whose snapped halting vertex's own basis
+    # bounds it within GAP_TOL: the solve ends there, with no simplex
+    runs = _counted_simplex(monkeypatch)
+    spec = make_problem(seed=0, d=5, m=300, lam=0.1)
+    curve = _CurveEvaluator(spec, search_axis(spec.data))
+    assert _offer_halting_point(curve, spec)
+    assert np.array_equal(curve.cert.basis, _halting_vertex_basis(curve, spec))
+    assert curve.cert.bound == float(spec.data.y @ _basis_dual(spec, curve.cert.basis))
+    res = solve_locus(spec)
+    assert res.converged and res.objective_evals == 1
+    assert rel_gap(res.objective, solve_lp(spec).objective) <= GAP_TOL
+    assert runs == []
+
+
+def test_an_own_basis_that_falls_short_starts_the_simplex_there(monkeypatch):
+    # a halting miss: the simplex runs once, started at the snapped halting
+    # vertex's own basis, and reaches the cold optimum; its final basis
+    # gives the bound
+    runs = _counted_simplex(monkeypatch)
+    spec = make_problem(seed=3, d=3, m=12, lam=0.1)
+    curve = _CurveEvaluator(spec, search_axis(spec.data))
+    assert not _offer_halting_point(curve, spec)
+    [(start, sol)] = runs
+    assert np.array_equal(start, _halting_vertex_basis(curve, spec))
+    assert sol.converged and sol.pivots > 0
+    assert rel_gap(sol.objective, simplex_minimize(formulate(spec)).objective) <= 1e-12
+    assert curve.cert.basis is sol.basis
+    assert curve.cert.bound == float(spec.data.y @ _basis_dual(spec, sol.basis))
+
+
+def test_all_singular_snaps_run_the_cold_simplex(monkeypatch):
+    # every row's normal is a multiple of (1, 1), and the point is nearer all
+    # six rows than either axis, so every snap subset is two rows: singular,
+    # f = inf, and no own basis to bound with
+    runs = _counted_simplex(monkeypatch)
+    c = np.arange(1.0, 7.0)
+    noise = 1e-3 * np.array([1.0, -2.0, 1.0, 3.0, -1.0, 2.0])
+    spec = ProblemSpec(Dataset(np.column_stack((c, c)), 20.0 * c + noise), 0.1)
+    beta = np.array([[10.0, 10.0]])
+    assert _snap(spec, beta)[2] is None
+    cert = _Certificate(spec)
+    cert.offer(beta)
+    [(start, sol)] = runs
+    assert start is None and sol.converged
+    assert cert.bound == float(spec.data.y @ _basis_dual(spec, sol.basis))
+    assert cert.value == evaluate_objective(spec, beta[0]) and 0.0 < cert.gap < 1.0
+
+
+def test_the_benchmark_certificate_rarely_runs_the_simplex(monkeypatch):
+    # counts, not timings: over the first round of the benchmark's
+    # oracle_small pool at seed 7, the snapped halting vertex's own basis
+    # certifies all but at most two solves
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS, instance_pool
+
+    runs = _counted_simplex(monkeypatch)
+    wl = WORKLOADS["oracle_small"]
+    pool = instance_pool(wl, 7, 1)
+    for inst in pool:
+        gen = GenSpec(
+            m=inst.m,
+            d=inst.d,
+            noise_sigma=wl.noise_sigma,
+            outlier_fraction=wl.outlier_fraction,
+            seed=inst.data_seed,
+        )
+        assert solve_locus(ProblemSpec(generate(gen)[0], inst.lam)).converged
+    assert len(pool) == 27 and len(runs) <= 2
 
 
 @pytest.mark.parametrize("outer_search", OUTER_SEARCHES)

@@ -115,6 +115,26 @@ def test_complementarity_of_paired_variables():
         assert np.minimum(rp, rn).max() <= 1e-9
 
 
+@pytest.mark.parametrize("d, m", [(1, 6), (2, 8), (3, 12), (5, 300)])
+def test_a_start_at_any_basis_it_passed_resumes_it(d, m, monkeypatch):
+    # any basis the simplex passes through is a feasible start: resumed from
+    # it, the simplex reaches the same optimum, and from the optimal basis
+    # it takes no pivot
+    for seed in range(5):
+        for lam in (0.01, 0.1, 1.0):
+            lp = formulate(make_problem(seed=seed, d=d, m=m, lam=lam))
+            cold = simplex_minimize(lp)
+            for k in range(cold.pivots + 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(lp_module, "MAX_PIVOTS", k)
+                    start = simplex_minimize(lp).basis
+                resumed = simplex_minimize(lp, start)
+                assert resumed.converged
+                assert rel_gap(resumed.objective, cold.objective) <= 1e-12, (seed, lam, k)
+            assert resumed.pivots == 0 and np.array_equal(resumed.basis, cold.basis)
+            assert np.allclose(resumed.x, cold.x, rtol=1e-12, atol=1e-12)
+
+
 def test_objective_trace_never_increases():
     spec = make_problem(seed=33, d=3, m=10, lam=0.1)
     sol = simplex_minimize(formulate(spec))

@@ -45,11 +45,13 @@ def test_work_counts():
     header, row = out.splitlines()
     assert header.split() == [
         "solver", "solves", "descents", "m_x_median_calls", "outer_rounds",
-        "certified_before_search",
+        "certified_before_search", "certificate_simplex_runs", "certificate_pivots",
     ]
-    name, solves, descents, work, rounds, before = row.split()
+    name, solves, descents, work, rounds, before, runs, pivots = row.split()
     assert name == "locus_ternary"
     assert int(descents) >= int(solves) >= int(before) > 0
     assert int(work) > int(descents) and int(rounds) >= 0
+    # the certificate's simplex runs at most once per solve
+    assert int(solves) >= int(runs) >= 0 and int(pivots) >= 0
     # counts, not timings: a second run prints the same
     assert run_script("work_counts.py", *args) == out
