@@ -114,7 +114,7 @@ def solve_brute(
         for v in vertices[screen - slack <= min(best[0], (screen + slack).min(initial=np.inf))]:
             best = min(best, (objective_value(x, y, lam, v), float(np.abs(v).sum()), tuple(v)))
     if not best[2]:
-        # unreachable: the all-coordinate-planes subset is always nonsingular
+        # unreachable: the d coefficient planes (beta = 0) are never singular
         raise ProblemTooLargeError("no nonsingular vertex found")
     return SolveResult(
         beta=Coefficients(np.array(best[2])),

@@ -18,31 +18,34 @@ with U >= f*, here the certificate's lowest value (the objective at a point
 offered to it), and the column's least-squares coefficient
 c = p . y / ||p||^2, |beta*_a - c| <= U ||p||_inf / ||p||^2.  Also
 lambda_eff |beta*_a| <= lambda_eff ||beta*||_1 <= f* <= U, which alone
-bounds a column in the span of the others (p = 0, so c is taken as 0).
+bounds a column in the span of the others (p = 0, so c is taken as 0).  A
+computed p keeps the identity only up to a defect e in its products with
+the columns, which costs e ||beta*||_1 <= e U / lambda_eff more.
 
 The minimum of the piecewise-linear objective sits at a vertex, where d of
 its m + d planes meet (x_i . beta = y_i, beta_j = 0).  The probes end near
 it, within bracket precision or where a descent stalls, so their nearest
 planes are the likely tight ones: ``solve_locus`` snaps each point it
-offers onto the lowest vertex of its nearest planes.  At the first offer
-the dual point of that vertex's own basis bounds the optimum from below
-(Barrodale & Roberts 1973; Koenker & d'Orey 1987); only where that falls
-short does the simplex (``simplex_minimize``) run, started at that basis,
-and its final basis bound instead.  The solve stops at the first offer
-whose own lowest snapped point is within ``GAP_TOL`` of the bound: a GPU
-thread should do no work past a proven optimum.
+offers onto the lowest vertex of its nearest planes, or onto the origin
+where every subset of them is singular, so each snap lands on a vertex.
+At the first offer the dual point of that vertex's own basis bounds the
+optimum from below (Barrodale & Roberts 1973; Koenker & d'Orey 1987); only
+where that falls short does the simplex (``simplex_minimize``) run, started
+at that basis, and its final basis bound instead.  The solve stops at the
+first offer whose own lowest snapped point is within ``GAP_TOL`` of the
+bound: a GPU thread should do no work past a proven optimum.
 
 The search is entered where plain descent halts.  Unfrozen coordinate
 descent from zero halts at an axis-wise minimum, a point of the curve at
 its own coordinate on the axis, so it is offered first, before any bracket:
 the curve is searched only where that point does not certify.  The next
 offer is the bracket's midpoint c, the chop's first probe, together with
-the bracket guard's two ends, then every round of the search.  Probes
-descend from the lowest point at their coordinate on the edges through the
-certificate's vertex, where the curve runs near the optimum: a descent from
-the vertex with one coordinate moved can stall well above the curve.
-``sample_locus`` traces the curve on a grid, to test the monotonicity and
-convexity claims empirically.
+the bracket guard's two ends, then every round of the search.  So every
+probe comes after the first offer, and descends from the lowest point at
+its coordinate on the edges through the certificate's vertex, where the
+curve runs near the optimum: a descent from the vertex with one coordinate
+moved can stall well above the curve.  ``sample_locus`` traces the curve
+on a grid, to test the monotonicity and convexity claims empirically.
 """
 
 from __future__ import annotations
@@ -98,23 +101,25 @@ def proven_bracket(spec: ProblemSpec, axis: int, u: float) -> Bracket:
     U = ``u`` >= f* (the proof is in the module docstring), centred on c.
 
     Its half-width is |c| + U / lambda_eff, since lambda_eff |beta*_a| <= U,
-    or U ||p||_inf / ||p||^2 where that is less.  Cut to the penalty
-    interval instead, it would end at the optimum on exact-fit data (U =
-    lambda_eff |c| at d = 1), and ``expand_bracket`` would extend it.  Where
-    p vanishes to numpy's rank tolerance (column ``axis`` lies in the
-    others' span: a duplicate, or m < d), c is 0 and the penalty term alone
-    holds.  U must be positive: U = 0 fits exactly, where the bracket would
-    have no width.
+    or (U ||p||_inf + e U / lambda_eff) / ||p||^2 where that is less, e =
+    max(|p . x_a - ||p||^2|, ||rest^T p||_inf): it holds where p is rounding
+    noise just above the in-span threshold.  Cut to the penalty interval
+    instead, it would end at the optimum on exact-fit data (U = lambda_eff
+    |c| at d = 1), and ``expand_bracket`` would extend it.  Where p vanishes
+    to numpy's rank tolerance (column ``axis`` lies in the others' span: a
+    duplicate, or m < d), c is 0 and the penalty term alone holds.  U must
+    be positive: U = 0 fits exactly, where the bracket would have no width.
     """
-    col = spec.data.x[:, axis]
-    q, _ = np.linalg.qr(np.delete(spec.data.x, axis, axis=1))
+    col, rest = spec.data.x[:, axis], np.delete(spec.data.x, axis, axis=1)
+    q, _ = np.linalg.qr(rest)
     p = col - q @ (q.T @ col)
     pp = float(p @ p)
     in_span = pp <= (max(spec.m, spec.d) * np.finfo(float).eps) ** 2 * float(col @ col)
     c = 0.0 if in_span else float(p @ spec.data.y) / pp
     h = abs(c) + u / spec.lambda_eff
     if not in_span:
-        h = min(u * float(np.abs(p).max()) / pp, h)
+        defect = max(abs(float(p @ col) - pp), float(np.abs(rest.T @ p).max(initial=0.0)))
+        h = min((u * float(np.abs(p).max()) + defect * u / spec.lambda_eff) / pp, h)
     return Bracket(c - h, c + h)
 
 
@@ -166,17 +171,15 @@ def sample_locus(
 class _CurveEvaluator:
     """Evaluates the curve value at t with one restricted descent per probe.
 
-    Each probe descends from the edge start (``_edge_start``) once the
-    certificate has a basis, else from the nearest point seen, the first
-    from zero, taking ``line_steps`` (which cut zig-zags short but still
-    stop only on a sweep without gain); a coordinate within ``SAME_T_ULPS``
-    ulps of one seen before is valued by the first such point, without a
-    descent.  The first offer gives the certificate a basis unless every
-    snap is singular and the simplex runs out of pivots, and ``solve_locus``
-    offers the halting point before any probe, so the nearest point serves
-    only there.  ``seen`` lists the points in the order seen: the halting
-    point, then the bracket guard's ends and midpoint, then the rounds'
-    probes.
+    Each probe descends from the edge start (``_edge_start``), taking
+    ``line_steps`` (which cut zig-zags short but still stop only on a sweep
+    without gain); a coordinate within ``SAME_T_ULPS`` ulps of one seen
+    before is valued by the first such point, without a descent.  The edges
+    are the certificate's vertex's, which its first offer always sets, so
+    the points seen before the first probe must have been offered
+    (``certified``): ``solve_locus`` offers the halting point.  ``seen``
+    lists the points in the order seen: the halting point, then the bracket
+    guard's ends and midpoint, then the rounds' probes.
     """
 
     def __init__(self, spec: ProblemSpec, axis: int):
@@ -185,20 +188,14 @@ class _CurveEvaluator:
         self.seen: list[LocusPoint] = []
         self.cert = _Certificate(spec)
         self._offered = 0  # the points seen before this were offered
-        self._edges: np.ndarray | None = None  # of the certificate's vertex, once it has one
-
-    def _nearest(self, t: float) -> Coefficients | None:
-        """The closest point seen; between equally close ones the first seen."""
-        near = min(self.seen, key=lambda pt: abs(pt.t - t), default=None)
-        return None if near is None else near.beta
+        self._edges: np.ndarray | None = None  # of the certificate's vertex, built at the first probe
 
     def __call__(self, t: float) -> float:
         tol = SAME_T_ULPS * math.ulp(t)
         for pt in self.seen:
             if abs(pt.t - t) <= tol:
                 return pt.value  # seen before, up to rounding: no second descent
-        warm = self._nearest(t) if self.cert.warm is None else self._edge_start(t)
-        pt = locus_value(self.spec, self.axis, t, warm, line_steps=True)
+        pt = locus_value(self.spec, self.axis, t, self._edge_start(t), line_steps=True)
         self.seen.append(pt)
         return pt.value
 
@@ -223,11 +220,11 @@ class _CurveEvaluator:
         return self.cert.gap <= GAP_TOL
 
 
-def _snap(spec: ProblemSpec, betas: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None]:
+def _snap(spec: ProblemSpec, betas: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(objective, vertex, its d planes) of the lowest vertex among the d +
     ``SNAP_SPARE`` planes nearest any of the points ``betas`` (rows), all
-    solved as one stack by ``solve_linear_system``; ``(inf, betas[0],
-    None)`` if all are singular.  Planes 0..m-1 are the rows, at distance
+    solved as one stack by ``solve_linear_system``; the origin, on planes
+    m..m+d-1, if all are singular.  Planes 0..m-1 are the rows, at distance
     |r_i| / ||x_i||_1, and m..m+d-1 the coefficients, at |beta_j|; ties go
     to the lower index, then to the earlier point."""
     x, y = spec.data.x, spec.data.y
@@ -249,7 +246,8 @@ def _snap(spec: ProblemSpec, betas: np.ndarray) -> tuple[float, np.ndarray, np.n
     values = np.concatenate([objective_values(x, y, spec.lambda_eff, v) for v in blocks])
     k = int(np.where(singular, np.inf, values).argmin())
     if singular[k]:
-        return np.inf, betas[0], None
+        # all are, so k is the origin: the d coefficient planes (beta = 0) are never singular
+        subsets[k] = spec.m + np.arange(d)
     return objective_value(x, y, spec.lambda_eff, vertices[k]), vertices[k], subsets[k]
 
 
@@ -339,11 +337,10 @@ class _Certificate:
     the dual point (``_basis_dual``) of that vertex's own basis
     (``_vertex_basis``) gives the bound y . u; where that falls short of
     ``GAP_TOL``, the simplex (``simplex_minimize``) runs once from there
-    (cold if every snap was singular) and a converged final basis bounds
-    instead.  The basis's vertex is ``warm``, from which later probes
-    descend.  The point stays the search's own until it certifies: only a
-    certified point gives way to a lower ``warm``, so a sloppy search stays
-    visible."""
+    and a converged final basis bounds instead.  The basis's vertex is
+    ``warm``, from whose edges later probes descend.  The point stays the
+    search's own until it certifies: only a certified point gives way to a
+    lower ``warm``, so a sloppy search stays visible."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
@@ -365,13 +362,13 @@ class _Certificate:
         first = self.point is None
         if value < self.value:
             self.point, self.value = beta, value
-        if first and planes is not None:
+        if first:
             self._bound_at(_vertex_basis(self.spec, vertex, planes), vertex)
-        if first and (planes is None or self.gap > GAP_TOL):  # no own basis: cold
-            sol = simplex_minimize(formulate(self.spec), self.basis)
-            if sol.converged:
-                d = self.spec.d
-                self._bound_at(sol.basis, sol.x[:d] - sol.x[d : 2 * d])
+            if self.gap > GAP_TOL:
+                sol = simplex_minimize(formulate(self.spec), self.basis)
+                if sol.converged:
+                    d = self.spec.d
+                    self._bound_at(sol.basis, sol.x[:d] - sol.x[d : 2 * d])
         if self.gap <= GAP_TOL and self._warm_value < self.value:
             # the point certified on its own; warm, if lower, may replace it
             self.point, self.value = self.warm.beta, self._warm_value
@@ -393,7 +390,8 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
     The halting point of unfrozen descent from zero (with line steps, as
     the probes take) is the first point of the curve, at its own coordinate
     on the axis.  It is snapped and offered to the certificate
-    (``_Certificate``); if it is within ``GAP_TOL`` of the certificate's
+    (``_Certificate``), which sets the vertex whose edges every later probe
+    descends from; if it is within ``GAP_TOL`` of the certificate's
     dual bound the solve ends there, with one descent and no bracket built (an
     exact fit, where descent from zero halts at f = 0, always does).
     Otherwise ``proven_bracket`` builds the bracket from the certificate's

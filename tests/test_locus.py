@@ -15,6 +15,7 @@ from ladlasso.linesearch import Bracket, expand_bracket, ternary_min, weighted_m
 from ladlasso.locus import (
     OUTER_SEARCHES,
     SEARCH,
+    SNAP_SPARE,
     LocusPoint,
     _Certificate,
     _CurveEvaluator,
@@ -28,7 +29,7 @@ from ladlasso.locus import (
     solve_locus,
 )
 from ladlasso import lp
-from ladlasso.lp import formulate, simplex_minimize, solve_lp
+from ladlasso.lp import formulate, initial_basis, simplex_minimize, solve_lp
 from ladlasso.model import GAP_TOL, Coefficients, Dataset, ProblemSpec, axis_restriction
 from ladlasso.model import evaluate_objective
 from util import exact_curve, make_problem, rel_gap
@@ -164,35 +165,6 @@ class TestSampleLocus:
             assert (steps >= -slack).all() or (steps <= slack).all()
 
 
-def test_nearest_probe_prefers_the_first_seen_on_equal_distance():
-    spec = make_problem(seed=3, d=2, m=6, lam=0.1)
-    curve = _CurveEvaluator(spec, 0)
-
-    def probe(t, tag):
-        pt = LocusPoint(t, Coefficients(np.array([t, tag])), 0.0, True)
-        curve.seen.append(pt)
-
-    assert curve._nearest(0.0) is None
-    probe(1.0, 0.0)
-    probe(-1.0, 1.0)
-    probe(1.0, 2.0)  # a duplicate coordinate never displaces the first
-    probe(3.0, 3.0)
-
-    def tag(t):
-        return curve._nearest(t).beta[1]
-
-    assert tag(0.0) == 0.0  # equidistant neighbours: 1.0 was seen before -1.0
-    assert tag(2.0) == 0.0  # between 1.0 and 3.0
-    assert tag(-0.5) == 1.0
-    assert tag(2.5) == 3.0
-    assert tag(1.0) == 0.0
-    assert tag(-7.0) == 1.0
-    assert [pt.beta.beta[1] for pt in curve.seen] == [0.0, 1.0, 2.0, 3.0]
-    for t in np.linspace(-4.0, 4.0, 33):
-        expected = min(curve.seen, key=lambda pt: abs(pt.t - t)).beta
-        assert curve._nearest(float(t)) is expected
-
-
 @lru_cache(maxsize=None)
 def _oracle_problem(i, lam_zero):
     """Oracle-grid instance ``i`` at its own lambda or at 0, and its brute-force optimum."""
@@ -230,6 +202,19 @@ def test_certificate_holds_at_the_brute_force_optimum():
             assert cert.value <= reference.objective
             worst = max(worst, cert.gap)
     assert worst <= GAP_TOL
+
+
+def test_oracle_sweep_is_certified_at_its_lambda_and_at_zero():
+    # every locus result on the sweep is converged, and no converged result
+    # is more than GAP_TOL above the brute-force optimum
+    for i in range(len(ORACLE_GRID)):
+        for lam_zero in (False, True):
+            spec, reference = _oracle_problem(i, lam_zero)
+            for outer_search in OUTER_SEARCHES:
+                res = solve_locus(spec, outer_search)
+                assert res.converged, (i, lam_zero, outer_search)
+                gap = (res.objective - reference.objective) / reference.objective
+                assert gap <= GAP_TOL, (i, lam_zero, outer_search)
 
 
 @pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
@@ -465,22 +450,78 @@ def test_an_own_basis_that_falls_short_starts_the_simplex_there(monkeypatch):
     assert curve.cert.bound == float(spec.data.y @ _basis_dual(spec, sol.basis))
 
 
-def test_all_singular_snaps_run_the_cold_simplex(monkeypatch):
+def test_all_singular_snaps_land_on_the_origin(monkeypatch):
     # every row's normal is a multiple of (1, 1), and the point is nearer all
-    # six rows than either axis, so every snap subset is two rows: singular,
-    # f = inf, and no own basis to bound with
+    # six rows than either axis, so every snap subset is two rows: singular.
+    # The snap falls back to the origin, on its two coefficient planes, whose
+    # own basis is the sign-split start; it falls short, so the one simplex
+    # run starts there
     runs = _counted_simplex(monkeypatch)
     c = np.arange(1.0, 7.0)
     noise = 1e-3 * np.array([1.0, -2.0, 1.0, 3.0, -1.0, 2.0])
     spec = ProblemSpec(Dataset(np.column_stack((c, c)), 20.0 * c + noise), 0.1)
     beta = np.array([[10.0, 10.0]])
-    assert _snap(spec, beta)[2] is None
+    f_origin, vertex, planes = _snap(spec, beta)
+    assert f_origin == evaluate_objective(spec, np.zeros(2))
+    assert not vertex.any() and planes.tolist() == [6, 7]
+    assert np.array_equal(_vertex_basis(spec, vertex, planes), initial_basis(formulate(spec)))
     cert = _Certificate(spec)
     cert.offer(beta)
     [(start, sol)] = runs
-    assert start is None and sol.converged
+    assert np.array_equal(start, initial_basis(formulate(spec)))
+    assert sol.converged and sol.pivots == 1
     assert cert.bound == float(spec.data.y @ _basis_dual(spec, sol.basis))
-    assert cert.value == evaluate_objective(spec, beta[0]) and 0.0 < cert.gap < 1.0
+    assert cert.bound == pytest.approx(2.0077, rel=1e-12)
+    assert cert.value == evaluate_objective(spec, beta[0])
+    assert cert.gap == pytest.approx(1.14428e-3, rel=1e-4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    case=st.sampled_from(("parallel rows", "zero row", "duplicate column", "m < d")),
+    d=st.integers(1, 4),
+    lam=st.sampled_from((0.0, 0.1, 1.0)),
+    scale=st.sampled_from((0.0, 0.1, 1.0, 10.0)),
+    data=st.data(),
+)
+def test_degenerate_snaps_land_on_a_vertex_with_a_working_basis(seed, case, d, lam, scale, data):
+    # the snap of any point is a vertex on its d planes, at a finite
+    # objective, and the simplex started at that vertex's own basis reaches
+    # the cold optimum; where d > 1, parallel rows through the point often
+    # make every subset of its nearest planes singular, and the snap falls
+    # back to the origin
+    if case == "m < d":
+        d = max(d, 2)
+        m = data.draw(st.integers(1, d - 1))
+    else:
+        m = d + data.draw(st.integers(1, 8))
+    spec = make_problem(seed=seed, d=d, m=m, lam=lam)
+    rng = np.random.default_rng(seed)
+    beta = scale * rng.uniform(-1.0, 1.0, d)
+    x, y = spec.data.x.copy(), spec.data.y.copy()
+    if case == "parallel rows":
+        k = min(spec.m, d + SNAP_SPARE)
+        scales = rng.uniform(0.5, 2.0, k) * rng.choice((-1.0, 1.0), k)
+        x[:k] = scales[:, None] * x[0]
+        y[:k] = x[:k] @ beta + 1e-3 * rng.standard_normal(k)
+    elif case == "zero row":
+        x[rng.integers(spec.m)] = 0.0
+    elif case == "duplicate column":
+        x = np.hstack((x, x[:, :1]))
+        beta = np.append(beta, 0.0)
+    spec = ProblemSpec(Dataset(x, y), lam)
+    f, vertex, planes = _snap(spec, beta[None])
+    assert np.isfinite(f) and f == evaluate_objective(spec, vertex)
+    assert len(set(planes.tolist())) == spec.d
+    rows, cols = planes[planes < spec.m], planes[planes >= spec.m] - spec.m
+    slack = 1e-9 * (np.abs(y[rows]) + np.abs(x[rows]) @ np.abs(vertex) + 1.0)
+    assert (np.abs(x[rows] @ vertex - y[rows]) <= slack).all()
+    assert (np.abs(vertex[cols]) <= 1e-9 * (np.abs(vertex).max() + 1.0)).all()
+    form = formulate(spec)
+    sol = simplex_minimize(form, _vertex_basis(spec, vertex, planes))
+    assert sol.converged
+    assert rel_gap(sol.objective, simplex_minimize(form).objective) <= 1e-9
 
 
 def test_the_benchmark_certificate_rarely_runs_the_simplex(monkeypatch):
@@ -577,6 +618,19 @@ def test_coordinate_bound_holds_at_every_beta(seed, d, extra, lam, scale, data):
     assert abs(beta[a] - c) <= bound + slack
     bracket = proven_bracket(spec, a, f)
     assert bracket.lo - slack <= beta[a] <= bracket.hi + slack
+
+
+def test_a_rounding_projection_of_a_duplicate_column_is_charged():
+    # a case Hypothesis drew for the test above: column 0 duplicated, so p
+    # is rounding noise, yet ||p||^2 = 1.6e-31 lies above the in-span
+    # threshold; uncharged for p's defect the bracket was [-1.6e16, -5.0e14]
+    # and excluded beta_0 = 0
+    spec = make_problem(seed=93664, d=1, m=2, lam=0.0)
+    x = spec.data.x
+    spec = ProblemSpec(Dataset(np.hstack((x, x[:, :1])), spec.data.y), 0.0)
+    beta = np.array([0.0, 1.0])
+    bracket = proven_bracket(spec, 0, evaluate_objective(spec, beta))
+    assert bracket.lo <= 0.0 <= bracket.hi
 
 
 def test_proven_bracket_holds_the_brute_force_optimum():
@@ -712,12 +766,14 @@ def test_a_seen_coordinate_costs_no_descent(monkeypatch):
     monkeypatch.setattr(locus, "locus_value", counted)
     spec = make_problem(seed=4, d=3, m=12, lam=0.1)
     curve = _CurveEvaluator(spec, 0)
+    _offer_halting_point(curve, spec)  # as solve_locus does, before any probe
+    halt = curve.seen[0].t
     first = curve(1.25)
     assert curve(1.25) == first
     assert curve(float(np.nextafter(1.25, 2.0))) == first  # an ulp off: rounding
     assert curve(-0.5) != first
     assert calls == [1.25, -0.5]
-    assert [pt.t for pt in curve.seen] == [1.25, -0.5]
+    assert [pt.t for pt in curve.seen] == [halt, 1.25, -0.5]
 
 
 @pytest.mark.parametrize("m", (400, 800))
