@@ -10,10 +10,13 @@ objective:
   small problems;
 - ``locus_ternary`` / ``locus_quadrature``: a two-stage search along the
   locus of axis-wise minima (outer bracket search, inner restricted descent),
-  snapped to a vertex and certified by the dual point of the simplex's final
-  basis;
+  snapped to a vertex and certified by the dual point of that vertex's own
+  basis, or of the simplex's final basis where that bound falls short;
 - ``ccd_plain``: plain cyclical coordinate descent, which can stall at an
   axis-wise minimum that is not global.
+
+No solver takes a tolerance or cap as an argument: each is a constant of
+``linesearch``, ``ccd``, ``lp``, ``brute`` or ``model``, read at call time.
 
 The package also ships a seedable synthetic data generator and a CLI
 (``ladlasso``) for solving, cross-checking and benchmarking.
@@ -25,7 +28,6 @@ from .datagen import GenSpec, generate, read_dataset_csv, write_dataset_csv
 from .linesearch import (
     Bracket,
     PiecewiseLinear1D,
-    SearchConfig,
     SearchResult,
     expand_bracket,
     quadrature_min,
@@ -55,7 +57,6 @@ __all__ = [
     "LpStandardForm",
     "PiecewiseLinear1D",
     "ProblemSpec",
-    "SearchConfig",
     "SearchResult",
     "SolveResult",
     "axis_restriction",

@@ -24,16 +24,18 @@ import numpy as np
 from .errors import ProblemTooLargeError
 from .model import Coefficients, ProblemSpec, SolveResult, objective_value, objective_values
 
-DEFAULT_MAX_VARIABLES = 6
-DEFAULT_MAX_CANDIDATES = 2_000_000
+MAX_VARIABLES = 6
+MAX_CANDIDATES = 2_000_000
 CHUNK_BYTES = 2 << 20  # the size of a chunk of subsets' (B x m) objective block
+# a system is singular below this scaled determinant (``solve_linear_system``)
+PIVOT_RTOL = 1e-12
 
 
-def solve_linear_system(a, b, pivot_rtol: float = 1e-12):
+def solve_linear_system(a, b):
     """Solve a stack of systems (B x n x n, B x n) with LAPACK, each exactly
     as it would be solved alone: (solutions, singular mask).
 
-    A system is singular unless its determinant exceeds ``pivot_rtol`` in
+    A system is singular unless its determinant exceeds ``PIVOT_RTOL`` in
     magnitude once each row and then each column is divided by its largest
     magnitude (LAPACK's xGEEQU order), at most n^(n/2) by Hadamard's
     inequality.  Scaling rows or the whole system does not move the screen,
@@ -51,7 +53,7 @@ def solve_linear_system(a, b, pivot_rtol: float = 1e-12):
         # one np.maximum per slice: numpy's max over an axis this short costs ~10x
         scaled = a / functools.reduce(np.maximum, np.abs(a).transpose(2, 0, 1))[..., None]
         scaled /= functools.reduce(np.maximum, np.abs(scaled).transpose(1, 0, 2))[:, None]
-        singular = ~(np.abs(np.linalg.det(scaled)) > pivot_rtol)
+        singular = ~(np.abs(np.linalg.det(scaled)) > PIVOT_RTOL)
     a[singular] = np.eye(n)
     # b as a stack of columns, which numpy 1.x and 2.x both read alike
     return np.linalg.solve(a, b[..., None])[..., 0], singular
@@ -61,30 +63,21 @@ def candidate_count(m: int, d: int) -> int:
     return math.comb(m + d, d)
 
 
-def check_enumeration_size(
-    m: int,
-    d: int,
-    max_variables: int = DEFAULT_MAX_VARIABLES,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> int:
+def check_enumeration_size(m: int, d: int) -> int:
     """The candidate count of an m x d problem; raises if it exceeds the caps."""
     count = candidate_count(m, d)
-    if d > max_variables:
+    if d > MAX_VARIABLES:
         raise ProblemTooLargeError(
-            f"d={d} exceeds the enumeration limit of {max_variables} variables"
+            f"d={d} exceeds the enumeration limit of {MAX_VARIABLES} variables"
         )
-    if count > max_candidates:
+    if count > MAX_CANDIDATES:
         raise ProblemTooLargeError(
-            f"choose({m + d}, {d}) = {count} candidate subsets exceeds the cap of {max_candidates}"
+            f"choose({m + d}, {d}) = {count} candidate subsets exceeds the cap of {MAX_CANDIDATES}"
         )
     return count
 
 
-def solve_brute(
-    spec: ProblemSpec,
-    max_variables: int = DEFAULT_MAX_VARIABLES,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> SolveResult:
+def solve_brute(spec: ProblemSpec) -> SolveResult:
     """Evaluate the objective at every vertex and keep the minimum.
 
     Ties break toward the smaller coefficient L1 norm, then lexicographically,
@@ -92,7 +85,7 @@ def solve_brute(
     partitioned.  ``iterations`` and ``objective_evals`` both count the
     vertices actually evaluated (singular subsets are skipped).
     """
-    check_enumeration_size(spec.m, spec.d, max_variables, max_candidates)
+    check_enumeration_size(spec.m, spec.d)
     t0 = time.perf_counter()
     x, y = spec.data.x, spec.data.y
     lam = spec.lambda_eff

@@ -56,6 +56,9 @@ from .model import (
 # than SWEEP_TOL, or unconverged after MAX_SWEEPS sweeps
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 500
+# ``is_axiswise_minimum`` takes breakpoints within this much of a coordinate
+# (relative to its magnitude) as sitting at it
+AXISWISE_TOL = 1e-9
 
 
 class _AxisWorkspace:
@@ -217,25 +220,20 @@ def solve_ccd(spec: ProblemSpec) -> SolveResult:
     return ccd_descend(spec, Coefficients.zeros(spec.d))
 
 
-def is_axiswise_minimum(
-    spec: ProblemSpec,
-    beta,
-    skip: int | None = None,
-    tol: float = 1e-9,
-) -> bool:
+def is_axiswise_minimum(spec: ProblemSpec, beta, skip: int | None = None) -> bool:
     """True iff no axis-parallel move (except along ``skip``) descends.
 
     The one-sided slopes of each axis restriction are computed exactly from
-    the breakpoint weights; ``tol`` (relative to the coordinate magnitude)
-    decides which breakpoints count as sitting at the current coordinate,
-    absorbing the rounding noise of incrementally maintained residuals.
+    the breakpoint weights; ``AXISWISE_TOL`` decides which breakpoints count
+    as sitting at the current coordinate, absorbing the rounding noise of
+    incrementally maintained residuals.
     """
     b = _beta_array(spec, beta)
     for j in range(spec.d):
         if j == skip:
             continue
         g = axis_restriction(spec, beta, j)
-        atol = tol * max(1.0, abs(b[j]))
+        atol = AXISWISE_TOL * max(1.0, abs(b[j]))
         left, right = g.slopes_at(b[j], atol)
         slope_eps = 1e-12 * (g.total_weight + 1.0)
         if left > slope_eps or right < -slope_eps:

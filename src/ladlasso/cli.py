@@ -96,7 +96,7 @@ def cmd_solve(args) -> int:
         started = time.perf_counter()
         result = run_solver(args.solver, spec)
         elapsed = time.perf_counter() - started
-    except (OSError, InvalidInputError) as exc:
+    except (OSError, InvalidInputError, ProblemTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     validate_result(spec, result)

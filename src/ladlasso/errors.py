@@ -18,7 +18,7 @@ class UnboundedDirectionError(RuntimeError):
 
 
 class ProblemTooLargeError(ValueError):
-    """Exhaustive enumeration would exceed the configured size cap."""
+    """Exhaustive enumeration would exceed its size caps."""
 
 
 class SimplexError(RuntimeError):

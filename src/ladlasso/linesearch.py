@@ -36,9 +36,14 @@ Done = Callable[[], bool]
 GOLDEN = (5**0.5 - 1) / 2
 # the interior probes of a quadrature round
 PROBES = 8
+# either search stops once its bracket is this fraction of its first width,
+# so the stopping rule is scale free
+TOLERANCE = 1e-9
 # the round cap of either search: a bracket can stop shrinking at rounding
 # short of its tolerance
 MAX_ROUNDS = 200
+# the extensions ``expand_bracket`` makes before calling a direction unbounded
+MAX_DOUBLINGS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,18 +114,6 @@ class Bracket:
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """Bracket-search termination: ``tolerance`` is the final bracket width
-    as a fraction of the *initial* width, so the stopping rule is scale free."""
-
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise InvalidInputError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class SearchResult:
     t: float
     value: float
@@ -174,9 +167,7 @@ def weighted_median_min(g: PiecewiseLinear1D) -> tuple[float, float]:
     return t_star, g(t_star)
 
 
-def ternary_min(
-    g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = None, done: Done | None = None
-) -> SearchResult:
+def ternary_min(g: Evaluator, bracket: Bracket, done: Done | None = None) -> SearchResult:
     """Golden-section ternary chop (Kiefer 1953) for a convex evaluator.
 
     Each step compares two interior probes, drops the outer segment beside
@@ -192,12 +183,10 @@ def ternary_min(
     once it holds the search stops there, with the rounds and evaluations so
     far and ``converged`` set.
     """
-    return _chop(_golden_rounds, g, bracket, cfg, done)
+    return _chop(_golden_rounds, g, bracket, done)
 
 
-def quadrature_min(
-    g: Evaluator, bracket: Bracket, cfg: SearchConfig | None = None, done: Done | None = None
-) -> SearchResult:
+def quadrature_min(g: Evaluator, bracket: Bracket, done: Done | None = None) -> SearchResult:
     """Fixed-grid bracket search: ``PROBES`` equally spaced interior points per
     round, then shrink to the two grid intervals adjacent to the best probe.
 
@@ -205,7 +194,7 @@ def quadrature_min(
     width shrinks by the factor 2/(PROBES+1) per round; the midpoint, the
     result and ``done`` as in ``ternary_min``.
     """
-    return _chop(_grid_rounds, g, bracket, cfg, done)
+    return _chop(_grid_rounds, g, bracket, done)
 
 
 def _golden_rounds(g: Evaluator, lo: float, hi: float) -> Iterator[tuple[float, float]]:
@@ -241,18 +230,15 @@ def _grid_rounds(g: Evaluator, lo: float, hi: float) -> Iterator[tuple[float, fl
         yield lo, hi
 
 
-def _chop(
-    rule, g: Evaluator, bracket: Bracket, cfg: SearchConfig | None, done: Done | None
-) -> SearchResult:
+def _chop(rule, g: Evaluator, bracket: Bracket, done: Done | None) -> SearchResult:
     """The loop both searches share: value the bracket's midpoint, then run
-    ``rule``'s rounds until ``done`` holds, the bracket is ``cfg.tolerance``
-    of its first width or ``MAX_ROUNDS`` pass, and, unless ``done`` held,
+    ``rule``'s rounds until ``done`` holds, the bracket is ``TOLERANCE`` of
+    its first width or ``MAX_ROUNDS`` pass, and, unless ``done`` held,
     value the final midpoint; the lowest point valued wins, ties to the
     earliest."""
-    cfg = cfg or SearchConfig()
     done = done or (lambda: False)
     lo, hi = bracket.lo, bracket.hi
-    target = cfg.tolerance * (hi - lo)
+    target = TOLERANCE * (hi - lo)
     seen: list[tuple[float, float]] = []
 
     def value(t: float) -> float:
@@ -273,7 +259,7 @@ def _chop(
     return SearchResult(t, v, rounds, len(seen), converged, Bracket(lo, hi))
 
 
-def expand_bracket(g: Evaluator, bracket: Bracket, max_doublings: int = 60) -> Bracket:
+def expand_bracket(g: Evaluator, bracket: Bracket) -> Bracket:
     """Double a bracket until its interior holds a point strictly below both ends.
 
     For a convex evaluator that certificate implies a minimum lies inside.
@@ -282,13 +268,13 @@ def expand_bracket(g: Evaluator, bracket: Bracket, max_doublings: int = 60) -> B
     against descents that stall above the curve.
     The bracket is extended on whichever side has the lower endpoint value
     (both sides on an exact tie); `UnboundedDirectionError` after
-    ``max_doublings`` extensions means the function keeps descending, which a
+    ``MAX_DOUBLINGS`` extensions means the function keeps descending, which a
     penalised objective cannot do.
     """
     lo, hi = bracket.lo, bracket.hi
     g_lo = g(lo)
     g_hi = g(hi)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         g_mid = g(0.5 * (lo + hi))
         if g_mid < g_lo and g_mid < g_hi:
             return Bracket(lo, hi)
@@ -305,5 +291,5 @@ def expand_bracket(g: Evaluator, bracket: Bracket, max_doublings: int = 60) -> B
             g_lo = g(lo)
             g_hi = g(hi)
     raise UnboundedDirectionError(
-        f"no interior minimum found after {max_doublings} bracket extensions"
+        f"no interior minimum found after {MAX_DOUBLINGS} bracket extensions"
     )

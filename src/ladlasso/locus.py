@@ -60,15 +60,12 @@ import numpy as np
 from .brute import solve_linear_system
 from .ccd import ccd_descend
 from .errors import InvalidInputError
-from .linesearch import Bracket, SearchConfig, expand_bracket
-from .linesearch import quadrature_min, ternary_min
+from .linesearch import Bracket, expand_bracket, quadrature_min, ternary_min
 from .lp import formulate, simplex_minimize
 from .model import GAP_TOL, Coefficients, Dataset, ProblemSpec, SolveResult, objective_value
 from .model import evaluate_objective, objective_values
 
 OUTER_SEARCHES = ("ternary", "quadrature")
-# the bracket search along the axis
-SEARCH = SearchConfig(tolerance=1e-9)
 
 # the snap tries every vertex of the d + SNAP_SPARE planes nearest the point
 SNAP_SPARE = 3
@@ -396,7 +393,7 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
     exact fit, where descent from zero halts at f = 0, always does).
     Otherwise ``proven_bracket`` builds the bracket from the certificate's
     lowest value, ``expand_bracket`` checks it against rounding and stalled
-    descents, and the search runs on it with ``SEARCH``, by
+    descents, and the search runs on it to ``linesearch.TOLERANCE``, by
     ``outer_search`` (one of ``OUTER_SEARCHES``).  Once the search has
     valued the bracket's midpoint, after every round, and once the search
     ends, the new points are offered; the first offer that certifies ends
@@ -417,7 +414,7 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
     rounds = 0
     if not curve.certified():
         bracket = expand_bracket(curve, proven_bracket(spec, curve.axis, curve.cert.value))
-        rounds = search(curve, bracket, SEARCH, curve.certified).rounds
+        rounds = search(curve, bracket, curve.certified).rounds
         curve.certified()
     cert = curve.cert
     return SolveResult(

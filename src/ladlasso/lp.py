@@ -171,6 +171,11 @@ def simplex_minimize(lp: LpStandardForm, start: np.ndarray | None = None) -> Sim
     tableau = np.zeros((m + 2, width + 1))
     rhs = tableau[:m, width]
     if start is None:
+        # Not merged into the started branch below: from initial_basis(lp)
+        # that builds this tableau bit for bit, but its index gathers and
+        # empty solve cost more than these sign flips.  On a 2-core x86 VM,
+        # mean best-of-30 solve_lp went from about 95 to 160 us at d 1-3,
+        # m 4-12, and from 1.28 to 1.40 ms at d 5, m 200-800.
         basis = initial_basis(lp)
         sign = np.where(b >= 0, 1.0, -1.0)
         tableau[:m, :d] = sign[:, None] * x

@@ -27,6 +27,7 @@ from .linesearch import PiecewiseLinear1D
 DEFAULT_LAMBDA_FLOOR = 1e-9
 
 GAP_TOL = 1e-5  # relative gap to the optimum: locus certificates and `check`
+VALIDATE_RTOL = 1e-12  # relative: a stored objective against a fresh evaluation
 
 SOLVER_IDS = ("lp", "brute", "locus_ternary", "locus_quadrature", "ccd_plain")
 
@@ -192,10 +193,10 @@ def axis_restriction(spec: ProblemSpec, beta, j: int) -> PiecewiseLinear1D:
     return PiecewiseLinear1D(locations, weights, constant)
 
 
-def validate_result(spec: ProblemSpec, result: SolveResult, rtol: float = 1e-12) -> None:
+def validate_result(spec: ProblemSpec, result: SolveResult) -> None:
     """Check that a result's stored objective matches a fresh evaluation."""
     f = evaluate_objective(spec, result.beta)
-    if abs(result.objective - f) > rtol * max(1.0, abs(f)):
+    if abs(result.objective - f) > VALIDATE_RTOL * max(1.0, abs(f)):
         raise InvalidInputError(
             f"stored objective {result.objective!r} does not reproduce {f!r}"
         )

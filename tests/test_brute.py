@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from ladlasso import brute
 from ladlasso.brute import (
-    DEFAULT_MAX_CANDIDATES,
-    DEFAULT_MAX_VARIABLES,
     candidate_count,
     check_enumeration_size,
     solve_brute,
@@ -21,11 +19,9 @@ from ladlasso.model import GAP_TOL, Coefficients, Dataset, ProblemSpec, evaluate
 from util import make_problem, rel_gap, tiny_problem
 
 
-def enumerate_vertices(
-    spec, max_variables=DEFAULT_MAX_VARIABLES, max_candidates=DEFAULT_MAX_CANDIDATES
-):
+def enumerate_vertices(spec):
     """Every nonsingular d-plane intersection point, solved as one stack."""
-    check_enumeration_size(spec.m, spec.d, max_variables, max_candidates)
+    check_enumeration_size(spec.m, spec.d)
     planes = np.vstack([spec.data.x, np.eye(spec.d)])
     rhs = np.concatenate([spec.data.y, np.zeros(spec.d)])
     subsets = np.array(list(itertools.combinations(range(planes.shape[0]), spec.d)))
@@ -33,9 +29,9 @@ def enumerate_vertices(
     return [Coefficients(v) for v in sol[~singular]]
 
 
-def solve_one(a, b, pivot_rtol=1e-12):
+def solve_one(a, b):
     """One system as a batch of one: its solution, or None if singular."""
-    sol, singular = solve_linear_system([a], [b], pivot_rtol)
+    sol, singular = solve_linear_system([a], [b])
     return None if singular[0] else sol[0]
 
 
@@ -62,10 +58,12 @@ class TestLinearSolve:
         with pytest.raises(ValueError):
             solve_linear_system(np.ones((1, 2, 3)), np.ones((1, 2)))
 
-    def test_pivot_below_rtol_is_singular(self):
+    def test_pivot_below_rtol_is_singular(self, monkeypatch):
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
         assert solve_one(a, [1.0, 2.0]) is None
-        assert solve_one(a, [1.0, 2.0], pivot_rtol=1e-14) is not None
+        with monkeypatch.context() as mp:
+            mp.setattr(brute, "PIVOT_RTOL", 1e-14)
+            assert solve_one(a, [1.0, 2.0]) is not None
         sol, singular = solve_linear_system(np.stack([a, np.eye(2)]), [[1.0, 2.0], [5.0, 6.0]])
         assert singular.tolist() == [True, False]
         assert sol[1].tolist() == [5.0, 6.0]
@@ -126,15 +124,17 @@ def system_stacks(draw):
 @given(stack=system_stacks())
 def test_stacked_solve_is_the_single_solve_bit_for_bit(stack):
     a, b, must, pivot_rtol = stack
-    sol, singular = solve_linear_system(a, b, pivot_rtol)
-    assert sol.shape == b.shape and singular.shape == (len(must),)
-    for s, must_be_singular in enumerate(must):
-        one = solve_one(a[s], b[s], pivot_rtol)
-        assert singular[s] == (one is None)
-        if one is not None:
-            assert sol[s].tobytes() == one.tobytes()
-        if must_be_singular:
-            assert singular[s]
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body: no fixture
+        mp.setattr(brute, "PIVOT_RTOL", pivot_rtol)
+        sol, singular = solve_linear_system(a, b)
+        assert sol.shape == b.shape and singular.shape == (len(must),)
+        for s, must_be_singular in enumerate(must):
+            one = solve_one(a[s], b[s])
+            assert singular[s] == (one is None)
+            if one is not None:
+                assert sol[s].tobytes() == one.tobytes()
+            if must_be_singular:
+                assert singular[s]
 
 
 class TestEnumeration:
@@ -163,12 +163,16 @@ class TestEnumeration:
                 expected += 1
         assert n_vertices == expected
 
-    def test_caps(self):
+    def test_caps(self, monkeypatch):
         spec = make_problem(seed=1, d=2, m=6, lam=0.1)
-        with pytest.raises(ProblemTooLargeError):
-            list(enumerate_vertices(spec, max_variables=1))
-        with pytest.raises(ProblemTooLargeError):
-            list(enumerate_vertices(spec, max_candidates=5))
+        with monkeypatch.context() as mp:
+            mp.setattr(brute, "MAX_VARIABLES", 1)
+            with pytest.raises(ProblemTooLargeError):
+                list(enumerate_vertices(spec))
+        with monkeypatch.context() as mp:
+            mp.setattr(brute, "MAX_CANDIDATES", 5)
+            with pytest.raises(ProblemTooLargeError):
+                list(enumerate_vertices(spec))
 
 
 class TestSolveBrute:

@@ -52,6 +52,16 @@ class TestSolve:
         assert main(["solve", str(bad), "--lambda", "0.1"]) == 1
         assert "row 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m, d", [(20, 7), (60, 6)])
+    def test_brute_beyond_its_caps_is_input_error(self, tmp_path, capsys, m, d):
+        # d = 7 is over the variable cap, and choose(66, 6) over the candidate cap
+        data = tmp_path / "big.csv"
+        assert main(["gen", str(data), "--m", str(m), "--d", str(d)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(data), "--lambda", "0.1", "--solver", "brute"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_dump_lp_flag_writes_export(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         data.write_text("x1,y\n1.0,2.0\n")
@@ -91,10 +101,9 @@ class TestCheck:
 
     def test_loose_tolerance_is_caught(self, tmp_path, monkeypatch, capsys):
         # negative control: a sloppy outer search must produce visible gaps
-        import ladlasso.locus as locus
-        from ladlasso.linesearch import SearchConfig
+        import ladlasso.linesearch as linesearch
 
-        monkeypatch.setattr(locus, "SEARCH", SearchConfig(tolerance=0.9))
+        monkeypatch.setattr(linesearch, "TOLERANCE", 0.9)
         out = tmp_path / "loose.csv"
         code = main(["check", "--d", "2", "--m", "20", "--n-instances", "10",
                      "--seed", "3", "--out", str(out)])

@@ -10,13 +10,11 @@ from ladlasso.linesearch import (
     PROBES,
     Bracket,
     PiecewiseLinear1D,
-    SearchConfig,
     expand_bracket,
     quadrature_min,
     ternary_min,
     weighted_median_min,
 )
-from ladlasso.locus import SEARCH
 
 
 def pwl(pairs, constant=0.0):
@@ -92,7 +90,8 @@ class TestTernary:
 
     def test_non_convergence_flag(self, monkeypatch):
         monkeypatch.setattr(linesearch, "MAX_ROUNDS", 3)
-        res = ternary_min(lambda t: abs(t), Bracket(0.0, 1e6), SearchConfig(tolerance=1e-12))
+        monkeypatch.setattr(linesearch, "TOLERANCE", 1e-12)
+        res = ternary_min(lambda t: abs(t), Bracket(0.0, 1e6))
         assert not res.converged
         assert np.isfinite(res.value)
 
@@ -105,11 +104,11 @@ class TestTernary:
             probes.append(t)
             return abs(t - 2.7)
 
-        res = ternary_min(g, Bracket(-60.0, 60.0), SEARCH, lambda: False)
+        res = ternary_min(g, Bracket(-60.0, 60.0), lambda: False)
         assert res.converged and res.rounds <= 23
         assert res.bracket.width <= 120.0 * GOLDEN ** (2 * res.rounds - 1) * (1 + 1e-8)
         assert res.evals == len(probes) == 2 * res.rounds + 2
-        assert abs(res.t - 2.7) <= SEARCH.tolerance * 120.0
+        assert abs(res.t - 2.7) <= linesearch.TOLERANCE * 120.0
 
     def test_shrink_rate(self):
         res = ternary_min(lambda t: abs(t - 1.0), Bracket(-7.0, 9.0))
@@ -127,9 +126,9 @@ class TestQuadrature:
         # stated bound is 2/(probes-1) per round; the grid actually does better
         assert res.bracket.width <= 16.0 * (2.0 / (PROBES - 1)) ** res.rounds * (1 + 1e-8)
 
-    def test_agrees_with_ternary_on_random_pwl(self):
+    def test_agrees_with_ternary_on_random_pwl(self, monkeypatch):
+        monkeypatch.setattr(linesearch, "TOLERANCE", 1e-8)
         rng = np.random.default_rng(11)
-        cfg = SearchConfig()
         for _ in range(100):
             n = rng.integers(1, 7)
             g = pwl(
@@ -137,9 +136,9 @@ class TestQuadrature:
                 constant=float(rng.uniform(0, 2)),
             )
             bracket = Bracket(-8.0, 8.0)
-            vt = ternary_min(g, bracket, cfg).value
-            vq = quadrature_min(g, bracket, cfg).value
-            bound = 2 * cfg.tolerance * bracket.width * g.total_weight + 1e-12
+            vt = ternary_min(g, bracket).value
+            vq = quadrature_min(g, bracket).value
+            bound = 2 * linesearch.TOLERANCE * bracket.width * g.total_weight + 1e-12
             assert abs(vt - vq) <= bound
 
 
@@ -148,12 +147,14 @@ class TestQuadrature:
 def test_searches_bracket_median_agreement(g):
     t_star, v_star = weighted_median_min(g)
     bracket = Bracket(min(-60.0, t_star - 1), max(60.0, t_star + 1))
-    cfg = SearchConfig()
-    bound = 2 * cfg.tolerance * bracket.width * g.total_weight + 1e-10 * (1 + abs(v_star))
-    for search in (ternary_min, quadrature_min):
-        res = search(g, bracket, cfg)
-        assert res.value >= v_star - 1e-12
-        assert res.value - v_star <= bound
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body: no fixture
+        mp.setattr(linesearch, "TOLERANCE", 1e-8)
+        bound = 2 * linesearch.TOLERANCE * bracket.width * g.total_weight
+        bound += 1e-10 * (1 + abs(v_star))
+        for search in (ternary_min, quadrature_min):
+            res = search(g, bracket)
+            assert res.value >= v_star - 1e-12
+            assert res.value - v_star <= bound
 
 
 @settings(max_examples=80, deadline=None)
@@ -185,9 +186,10 @@ class TestExpandBracket:
             out = expand_bracket(g, Bracket(-1.0, 1.0))
             assert out.lo <= t_star <= out.hi
 
-    def test_unbounded_direction_raises(self):
+    def test_unbounded_direction_raises(self, monkeypatch):
+        monkeypatch.setattr(linesearch, "MAX_DOUBLINGS", 10)
         with pytest.raises(UnboundedDirectionError):
-            expand_bracket(lambda t: t, Bracket(0.0, 1.0), max_doublings=10)
+            expand_bracket(lambda t: t, Bracket(0.0, 1.0))
 
 
 @pytest.mark.parametrize("search, per_round", [(ternary_min, 2), (quadrature_min, 8)])
@@ -205,7 +207,7 @@ def test_search_stops_at_the_first_done_round(search, per_round, stop_at):
         checks.append(len(probes))
         return len(checks) == stop_at + 1
 
-    res = search(g, Bracket(-4.0, 10.0), SearchConfig(), done)
+    res = search(g, Bracket(-4.0, 10.0), done)
     # asked once the midpoint is valued and once after each round, with
     # that round's probes made
     assert probes[0] == 3.0
@@ -220,5 +222,5 @@ def test_search_stops_at_the_first_done_round(search, per_round, stop_at):
 def test_search_never_done_runs_to_the_tolerance(search):
     g = pwl([(1.5, 1.0), (-2.0, 0.5)], constant=0.25)
     plain = search(g, Bracket(-6.0, 6.0))
-    asked = search(g, Bracket(-6.0, 6.0), None, lambda: False)
+    asked = search(g, Bracket(-6.0, 6.0), lambda: False)
     assert asked == plain

@@ -14,7 +14,6 @@ from ladlasso.fixtures import ccd_stall_problem, oracle_grid
 from ladlasso.linesearch import Bracket, expand_bracket, ternary_min, weighted_median_min
 from ladlasso.locus import (
     OUTER_SEARCHES,
-    SEARCH,
     SNAP_SPARE,
     LocusPoint,
     _Certificate,
@@ -340,7 +339,7 @@ def test_search_stops_at_the_first_certified_round():
         rounds = 0
         if not checks[0]:
             bracket = expand_bracket(curve, proven_bracket(spec, curve.axis, curve.cert.value))
-            rounds = ternary_min(curve, bracket, SEARCH, done).rounds
+            rounds = ternary_min(curve, bracket, done).rounds
         assert checks[-1] and not any(checks[:-1])
         assert len(checks) == offers if offers else len(checks) > 2
         assert rounds == res.iterations == max(len(checks) - 2, 0) < 10
@@ -550,10 +549,9 @@ def test_the_benchmark_certificate_rarely_runs_the_simplex(monkeypatch):
 def test_a_loose_search_past_an_uncertified_halting_point_is_caught(outer_search, monkeypatch):
     # negative control: where the halting point does not certify, a sloppy
     # outer search must leave visible gaps
-    import ladlasso.locus as locus
-    from ladlasso.linesearch import SearchConfig
+    import ladlasso.linesearch as linesearch
 
-    monkeypatch.setattr(locus, "SEARCH", SearchConfig(tolerance=0.9))
+    monkeypatch.setattr(linesearch, "TOLERANCE", 0.9)
     gaps = []
     for seed in range(12):
         spec = make_problem(seed=seed, d=5, m=300, lam=0.1)
