@@ -19,9 +19,9 @@ the one before (Wu & Lange 2008 describe this for l1 regression).  With
 sweep gained is followed by an exact minimisation along that sweep's
 displacement, kept only if the freshly evaluated objective is strictly
 lower.  The stopping rule is unchanged, so a converged descent still ends on
-a full sweep without gain.  Only the locus search's probe descents take line
-steps; ``solve_ccd`` (the ``ccd_plain`` solver) and ``sample_locus`` stay
-plain cyclical descent.
+a full sweep without gain.  Only ``solve_locus``'s descents take line
+steps, its halting descent from zero and its probes; ``solve_ccd`` (the
+``ccd_plain`` solver) and ``sample_locus`` stay plain cyclical descent.
 
 Every coordinate update is one weighted median of the axis's breakpoints.
 Between sweeps the breakpoints move only a little, so each descent keeps,

@@ -91,8 +91,15 @@ def write_dataset_csv(data: Dataset, path) -> None:
 
 def read_dataset_csv(path) -> Dataset:
     """Parse a dataset CSV, pointing at the offending row/column on failure."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError:
+        # the decoder's offsets count from the chunk it was given: find the byte again
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        at = next(i for i, byte in enumerate(raw) if byte > 0x7F)
+        raise InvalidInputError(f"{path}: byte {at} ({raw[at]:#04x}) is not ASCII") from None
     if not lines:
         raise InvalidInputError(f"{path}: empty file")
     names = lines[0].split(",")

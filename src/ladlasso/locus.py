@@ -38,14 +38,15 @@ bound: a GPU thread should do no work past a proven optimum.
 The search is entered where plain descent halts.  Unfrozen coordinate
 descent from zero halts at an axis-wise minimum, a point of the curve at
 its own coordinate on the axis, so it is offered first, before any bracket:
-the curve is searched only where that point does not certify.  The next
-offer is the bracket's midpoint c, the chop's first probe, together with
-the bracket guard's two ends, then every round of the search.  So every
-probe comes after the first offer, and descends from the lowest point at
-its coordinate on the edges through the certificate's vertex, where the
-curve runs near the optimum: a descent from the vertex with one coordinate
-moved can stall well above the curve.  ``sample_locus`` traces the curve
-on a grid, to test the monotonicity and convexity claims empirically.
+the curve is searched only where that point does not certify.  The chop
+runs on the proven bracket as it is, so every probe lies inside it.  The
+next offer is the bracket's midpoint c, the chop's first probe, then every
+round of the search.  So every probe comes after the first offer, and
+descends from the lowest point at its coordinate on the edges through the
+certificate's vertex, where the curve runs near the optimum: a descent from
+the vertex with one coordinate moved can stall well above the curve.
+``sample_locus`` traces the curve on a grid, to test the monotonicity and
+convexity claims empirically.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ import numpy as np
 from .brute import solve_linear_system
 from .ccd import ccd_descend
 from .errors import InvalidInputError
-from .linesearch import Bracket, expand_bracket, quadrature_min, ternary_min
+from .linesearch import Bracket, quadrature_min, ternary_min
+# unused here: perfbench's WRAPPED binds locus.expand_bracket, and tests/test_perfbench.py checks it
+from .linesearch import expand_bracket  # noqa: F401
 from .lp import formulate, simplex_minimize
 from .model import GAP_TOL, Coefficients, Dataset, ProblemSpec, SolveResult, objective_value
 from .model import evaluate_objective, objective_values
@@ -69,11 +72,6 @@ OUTER_SEARCHES = ("ternary", "quadrature")
 
 # the snap tries every vertex of the d + SNAP_SPARE planes nearest the point
 SNAP_SPARE = 3
-# a probe within this many ulps of a coordinate seen reuses that point: the
-# midpoint of a bracket that ``expand_bracket`` doubled can land a few ulps
-# off one of its old ends (oracle-grid instance 132, the only such case on
-# the oracle sweep, the d = 8 grid and the benchmark pools)
-SAME_T_ULPS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +100,11 @@ def proven_bracket(spec: ProblemSpec, axis: int, u: float) -> Bracket:
     max(|p . x_a - ||p||^2|, ||rest^T p||_inf): it holds where p is rounding
     noise just above the in-span threshold.  Cut to the penalty interval
     instead, it would end at the optimum on exact-fit data (U = lambda_eff
-    |c| at d = 1), and ``expand_bracket`` would extend it.  Where p vanishes
-    to numpy's rank tolerance (column ``axis`` lies in the others' span: a
-    duplicate, or m < d), c is 0 and the penalty term alone holds.  U must
-    be positive: U = 0 fits exactly, where the bracket would have no width.
+    |c| at d = 1), which the chop, probing only inside, reaches only to its
+    tolerance.  Where p vanishes to numpy's rank tolerance (column ``axis``
+    lies in the others' span: a duplicate, or m < d), c is 0 and the
+    penalty term alone holds.  U must be positive: U = 0 fits exactly,
+    where the bracket would have no width.
     """
     col, rest = spec.data.x[:, axis], np.delete(spec.data.x, axis, axis=1)
     q, _ = np.linalg.qr(rest)
@@ -170,13 +169,11 @@ class _CurveEvaluator:
 
     Each probe descends from the edge start (``_edge_start``), taking
     ``line_steps`` (which cut zig-zags short but still stop only on a sweep
-    without gain); a coordinate within ``SAME_T_ULPS`` ulps of one seen
-    before is valued by the first such point, without a descent.  The edges
-    are the certificate's vertex's, which its first offer always sets, so
-    the points seen before the first probe must have been offered
-    (``certified``): ``solve_locus`` offers the halting point.  ``seen``
-    lists the points in the order seen: the halting point, then the bracket
-    guard's ends and midpoint, then the rounds' probes.
+    without gain).  The edges are the certificate's vertex's, which its
+    first offer always sets, so the points seen before the first probe must
+    have been offered (``certified``): ``solve_locus`` offers the halting
+    point.  ``seen`` lists the points in the order seen: the halting point,
+    then the chop's midpoint, then the rounds' probes.
     """
 
     def __init__(self, spec: ProblemSpec, axis: int):
@@ -188,10 +185,6 @@ class _CurveEvaluator:
         self._edges: np.ndarray | None = None  # of the certificate's vertex, built at the first probe
 
     def __call__(self, t: float) -> float:
-        tol = SAME_T_ULPS * math.ulp(t)
-        for pt in self.seen:
-            if abs(pt.t - t) <= tol:
-                return pt.value  # seen before, up to rounding: no second descent
         pt = locus_value(self.spec, self.axis, t, self._edge_start(t), line_steps=True)
         self.seen.append(pt)
         return pt.value
@@ -392,16 +385,17 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
     dual bound the solve ends there, with one descent and no bracket built (an
     exact fit, where descent from zero halts at f = 0, always does).
     Otherwise ``proven_bracket`` builds the bracket from the certificate's
-    lowest value, ``expand_bracket`` checks it against rounding and stalled
-    descents, and the search runs on it to ``linesearch.TOLERANCE``, by
-    ``outer_search`` (one of ``OUTER_SEARCHES``).  Once the search has
+    lowest value, and the search runs on it to ``linesearch.TOLERANCE``, by
+    ``outer_search`` (one of ``OUTER_SEARCHES``): the bracket holds the
+    optimum's coordinate, and a descent that stalls above the curve can
+    mislead the search only into an uncertified result.  Once the search has
     valued the bracket's midpoint, after every round, and once the search
     ends, the new points are offered; the first offer that certifies ends
     the solve.  ``converged`` is exactly that test, and a search that ends
     without it returns its own point uncertified.  ``iterations`` counts
     outer rounds (0: certified before any round), ``objective_evals`` curve
     points, the halting point included (1: certified at the halting point,
-    4: at the midpoint of a bracket the guard left as it was).
+    2: at the bracket's midpoint).
     """
     if outer_search not in OUTER_SEARCHES:
         raise InvalidInputError(f"unknown outer search {outer_search!r}")
@@ -413,7 +407,7 @@ def solve_locus(spec: ProblemSpec, outer_search: str = "ternary") -> SolveResult
     curve.seen.append(LocusPoint(t, halt.beta, halt.objective, halt.converged))
     rounds = 0
     if not curve.certified():
-        bracket = expand_bracket(curve, proven_bracket(spec, curve.axis, curve.cert.value))
+        bracket = proven_bracket(spec, curve.axis, curve.cert.value)
         rounds = search(curve, bracket, curve.certified).rounds
         curve.certified()
     cert = curve.cert

@@ -52,6 +52,14 @@ class TestSolve:
         assert main(["solve", str(bad), "--lambda", "0.1"]) == 1
         assert "row 2" in capsys.readouterr().err
 
+    def test_non_ascii_csv_is_input_error(self, tmp_path, capsys):
+        # a UTF-8 byte order mark, as spreadsheet exports write
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbfx1,y\n1,2\n3,4.5\n")
+        assert main(["solve", str(bom), "--lambda", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "byte 0" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("m, d", [(20, 7), (60, 6)])
     def test_brute_beyond_its_caps_is_input_error(self, tmp_path, capsys, m, d):
         # d = 7 is over the variable cap, and choose(66, 6) over the candidate cap

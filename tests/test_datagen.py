@@ -143,6 +143,19 @@ def test_csv_diagnostics(tmp_path):
         read_dataset_csv(wrong_header)
 
 
+def test_non_ascii_csv_names_its_first_non_ascii_byte(tmp_path):
+    # a UTF-8 byte order mark, as spreadsheet exports write, then an accented
+    # cell past the first chunk the text decoder reads
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\xef\xbb\xbfx1,y\n1,2\n3,4.5\n")
+    with pytest.raises(InvalidInputError, match=r"data\.csv: byte 0 \(0xef\) is not ASCII"):
+        read_dataset_csv(path)
+    body = b"x1,y\n" + b"1.0,2.0\n" * 3000
+    path.write_bytes(body + "1.0,\u00e9\n".encode())
+    with pytest.raises(InvalidInputError, match=rf"byte {len(body) + 4} \(0xc3\) is not ASCII"):
+        read_dataset_csv(path)
+
+
 def test_csv_body_is_read_as_float_reads_each_cell(tmp_path, recwarn):
     path = tmp_path / "data.csv"
     # blank lines are skipped; what float reads but numpy does not still reads

@@ -11,7 +11,7 @@ from ladlasso.ccd import ccd_descend, is_axiswise_minimum, solve_ccd
 from ladlasso.datagen import GenSpec, generate
 from ladlasso.errors import InvalidInputError
 from ladlasso.fixtures import ccd_stall_problem, oracle_grid
-from ladlasso.linesearch import Bracket, expand_bracket, ternary_min, weighted_median_min
+from ladlasso.linesearch import Bracket, ternary_min, weighted_median_min
 from ladlasso.locus import (
     OUTER_SEARCHES,
     SNAP_SPARE,
@@ -216,6 +216,41 @@ def test_oracle_sweep_is_certified_at_its_lambda_and_at_zero():
                 assert gap <= GAP_TOL, (i, lam_zero, outer_search)
 
 
+def test_no_probe_leaves_the_proven_bracket(monkeypatch):
+    # the chop runs on the bracket proven_bracket builds as it is, so every
+    # probe lies inside it; a guard that doubled brackets whose midpoint was
+    # not below both ends probed instance 132 at -4.45, outside [6.11, 16.67],
+    # and instance 161 at lambda = 0 at 9.10, outside [-2.07, 3.52]
+    import ladlasso.locus as locus
+
+    brackets, probes = [], []
+    real_bracket, real_value = locus.proven_bracket, locus.locus_value
+
+    def bracket(*args):
+        brackets.append(real_bracket(*args))
+        return brackets[-1]
+
+    def value(spec, axis, t, *args, **kwargs):
+        probes.append(t)
+        return real_value(spec, axis, t, *args, **kwargs)
+
+    monkeypatch.setattr(locus, "proven_bracket", bracket)
+    monkeypatch.setattr(locus, "locus_value", value)
+    for i in range(len(ORACLE_GRID)):
+        for lam_zero in (False, True):
+            spec, _ = _oracle_problem(i, lam_zero)
+            for outer_search in OUTER_SEARCHES:
+                brackets.clear()
+                probes.clear()
+                solve_locus(spec, outer_search)
+                if not brackets:  # certified at the halting point: no probe
+                    assert probes == [], (i, lam_zero, outer_search)
+                    continue
+                first = brackets[0]
+                outside = [t for t in probes if not first.lo <= t <= first.hi]
+                assert outside == [], (i, lam_zero, outer_search, first, outside)
+
+
 @pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
 @pytest.mark.parametrize(
     "d, m, lam, seed",
@@ -338,7 +373,7 @@ def test_search_stops_at_the_first_certified_round():
 
         rounds = 0
         if not checks[0]:
-            bracket = expand_bracket(curve, proven_bracket(spec, curve.axis, curve.cert.value))
+            bracket = proven_bracket(spec, curve.axis, curve.cert.value)
             rounds = ternary_min(curve, bracket, done).rounds
         assert checks[-1] and not any(checks[:-1])
         assert len(checks) == offers if offers else len(checks) > 2
@@ -379,23 +414,22 @@ def test_a_certified_halting_point_skips_the_search(outer_search, monkeypatch):
     [(start, frozen, line_steps)] = descents
     assert not start.any() and frozen is None and line_steps
     assert calls == []
-    # a halting miss goes on to the proven bracket, its guard's two ends and
-    # midpoint, the column's least-squares coefficient c, and the search,
-    # which certifies once it has valued that midpoint, reused
+    # a halting miss goes on to the proven bracket and the search, which
+    # certifies once it has valued that bracket's midpoint, the column's
+    # least-squares coefficient c; no guard values the bracket's ends
     descents.clear()
     spec = make_problem(seed=3, d=3, m=12, lam=0.1)
     res = solve_locus(spec, outer_search)
-    assert res.converged and res.iterations == 0 and res.objective_evals == 4
+    assert res.converged and res.iterations == 0 and res.objective_evals == 2
     axis = search_axis(spec.data)
     rest = np.delete(spec.data.x, axis, axis=1)
     col = spec.data.x[:, axis]
     p = col - rest @ np.linalg.lstsq(rest, col, rcond=None)[0]
-    assert [frozen for _, frozen, _ in descents] == [None, axis, axis, axis]
+    assert [frozen for _, frozen, _ in descents] == [None, axis]
     assert not descents[0][0].any()
-    lo, hi, mid = (start[axis] for start, _, _ in descents[1:])
-    assert lo < mid < hi and mid == 0.5 * (lo + hi)
+    mid = descents[1][0][axis]
     assert mid == pytest.approx(p @ spec.data.y / (p @ p), rel=1e-12)
-    assert calls == ["proven_bracket", "expand_bracket", f"{outer_search}_min"]
+    assert calls == ["proven_bracket", f"{outer_search}_min"]
 
 
 def _counted_simplex(monkeypatch):
@@ -569,10 +603,10 @@ def test_an_exact_fit_certifies_at_the_first_probe(outer_search, monkeypatch):
     # so no zero-width bracket is built
     import ladlasso.locus as locus
 
-    def unguarded(*args, **kwargs):
-        raise AssertionError("a certified first probe needs no bracket guard")
+    def unbracketed(*args, **kwargs):
+        raise AssertionError("a certified first probe needs no bracket")
 
-    monkeypatch.setattr(locus, "expand_bracket", unguarded)
+    monkeypatch.setattr(locus, "proven_bracket", unbracketed)
     data = make_problem(seed=4, d=3, m=8, lam=0.1).data
     for x in (data.x, np.hstack((data.x, data.x[:, :1]))):  # then the search axis, 0, duplicated
         spec = ProblemSpec(Dataset(x, np.zeros(len(data.y))), 0.1)
@@ -749,29 +783,6 @@ def test_edge_starts_lie_on_the_exact_curve_near_the_optimum():
         moved[axis] = t
         stalled = locus_value(spec, axis, t, Coefficients(moved), line_steps=True).value
         assert stalled > exact_curve(spec, axis, t) + 0.1
-
-
-def test_a_seen_coordinate_costs_no_descent(monkeypatch):
-    import ladlasso.locus as locus
-
-    calls = []
-    real = locus.locus_value
-
-    def counted(spec, axis, t, *args, **kwargs):
-        calls.append(t)
-        return real(spec, axis, t, *args, **kwargs)
-
-    monkeypatch.setattr(locus, "locus_value", counted)
-    spec = make_problem(seed=4, d=3, m=12, lam=0.1)
-    curve = _CurveEvaluator(spec, 0)
-    _offer_halting_point(curve, spec)  # as solve_locus does, before any probe
-    halt = curve.seen[0].t
-    first = curve(1.25)
-    assert curve(1.25) == first
-    assert curve(float(np.nextafter(1.25, 2.0))) == first  # an ulp off: rounding
-    assert curve(-0.5) != first
-    assert calls == [1.25, -0.5]
-    assert [pt.t for pt in curve.seen] == [halt, 1.25, -0.5]
 
 
 @pytest.mark.parametrize("m", (400, 800))
