@@ -28,7 +28,6 @@ import statistics
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, TextIO
 
 from .brute import check_enumeration_size, solve_brute
@@ -174,6 +173,9 @@ def _check(args, files) -> int:
         )
         tasks.append(dict(instance=i, genspec=genspec, lam=lam))
     if args.parallel > 1:
+        # imported here: the pool loads multiprocessing, which no other command runs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
             rows = list(pool.map(_check_instance, tasks))
     else:

@@ -101,22 +101,46 @@ def proven_bracket(spec: ProblemSpec, axis: int, u: float) -> Bracket:
     noise just above the in-span threshold.  Cut to the penalty interval
     instead, it would end at the optimum on exact-fit data (U = lambda_eff
     |c| at d = 1), which the chop, probing only inside, reaches only to its
-    tolerance.  Where p vanishes to numpy's rank tolerance (column ``axis``
-    lies in the others' span: a duplicate, or m < d), c is 0 and the
-    penalty term alone holds.  U must be positive: U = 0 fits exactly,
+    tolerance.  Where p vanishes to within max(m, d) eps of ||x_a|| (column
+    ``axis`` lies in the others' span: a duplicate, or m < d), c is 0 and
+    the penalty term alone holds.  U must be positive: U = 0 fits exactly,
     where the bracket would have no width.
+
+    p is found by modified Gram-Schmidt, each column orthogonalised twice
+    against the directions kept before it, not by a QR, whose first call
+    lifts a process's peak memory by about 0.5 MB.  A column of ``rest``
+    whose remainder is within that same tolerance of its own norm lies in
+    the span of those before it (a duplicate, or m < d) and is skipped, so
+    a rank-deficient ``rest`` adds no noise direction to project out.  The
+    proof needs no exact p: the defect e above is charged whatever p is.
     """
     col, rest = spec.data.x[:, axis], np.delete(spec.data.x, axis, axis=1)
-    q, _ = np.linalg.qr(rest)
-    p = col - q @ (q.T @ col)
+    tol = max(spec.m, spec.d) * np.finfo(float).eps
+    kept: list[np.ndarray] = []
+    for v in rest.T:
+        w = _remainder(v, kept)
+        norm = math.sqrt(float(w @ w))
+        if norm > tol * math.sqrt(float(v @ v)):
+            kept.append(w / norm)
+    p = _remainder(col, kept)
     pp = float(p @ p)
-    in_span = pp <= (max(spec.m, spec.d) * np.finfo(float).eps) ** 2 * float(col @ col)
+    in_span = pp <= tol**2 * float(col @ col)
     c = 0.0 if in_span else float(p @ spec.data.y) / pp
     h = abs(c) + u / spec.lambda_eff
     if not in_span:
         defect = max(abs(float(p @ col) - pp), float(np.abs(rest.T @ p).max(initial=0.0)))
         h = min((u * float(np.abs(p).max()) + defect * u / spec.lambda_eff) / pp, h)
     return Bracket(c - h, c + h)
+
+
+def _remainder(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    """v less its components along the orthonormal ``basis``, taken off one
+    direction at a time, twice over (the second pass removes what the
+    first left by rounding)."""
+    for _ in range(2):
+        for q in basis:
+            v = v - float(q @ v) * q
+    return v
 
 
 def locus_value(
@@ -278,7 +302,9 @@ def _edges(spec: ProblemSpec, basis: np.ndarray, axis: int) -> np.ndarray:
     along one of them.
     """
     active, zero = _tight_planes(spec, basis)
-    inverse = np.linalg.inv(np.vstack((spec.data.x[active], np.eye(spec.d)[zero])))
+    normals = np.vstack((spec.data.x[active], np.eye(spec.d)[zero]))
+    # solve, not inv: the same bits, through a LAPACK routine already loaded
+    inverse = np.linalg.solve(normals, np.eye(spec.d))
     rates = inverse[axis]
     moving = np.abs(rates) > 1e-12 * np.abs(inverse).max(axis=0)
     return np.vstack(((inverse[:, moving] / rates[moving]).T, np.eye(spec.d)[axis]))

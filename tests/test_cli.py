@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,20 @@ class TestCheck:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_importing_the_cli_leaves_the_process_pool_out(self):
+        # only check --parallel runs a pool, so only it loads multiprocessing
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys, ladlasso.cli; print(' '.join(m for m in sys.modules"
+            " if m.startswith('multiprocessing') or m == 'concurrent.futures.process'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == []
 
     def test_parallel_matches_sequential(self, tmp_path):
         seq = tmp_path / "seq.csv"

@@ -700,6 +700,63 @@ def test_column_in_the_others_span_gets_a_bracket_centred_on_zero(case, lam):
         assert rel_gap(res.objective, reference.objective) <= GAP_TOL, outer_search
 
 
+def test_a_duplicated_other_column_keeps_the_bracket_tight():
+    # the first column other than the search axis appended again: rest is
+    # rank-deficient, and p must still be x_a less its projection on the
+    # others' span.  Projected by solving the Gram system rest^T rest z =
+    # rest^T x_a instead, the screen flags that system singular and the
+    # junk z gives a valid but huge bracket: 603 rounds and 24 of these 48
+    # solves uncertified, against 82 rounds and none by Gram-Schmidt
+    rounds = 0
+    for seed in range(12):
+        data = make_problem(seed=seed, d=4, m=30, lam=0.1).data
+        axis = search_axis(data)
+        other = 1 if axis == 0 else 0
+        x = np.hstack((data.x, data.x[:, other:other + 1]))
+        assert search_axis(Dataset(x, data.y)) == axis
+        for lam in (0.1, 0.0):
+            spec = ProblemSpec(Dataset(x, data.y), lam)
+            reference = solve_lp(spec).objective
+            for outer_search in OUTER_SEARCHES:
+                res = solve_locus(spec, outer_search)
+                assert res.converged, (seed, lam, outer_search)
+                assert rel_gap(res.objective, reference) <= GAP_TOL, (seed, lam, outer_search)
+                rounds += res.iterations
+    assert rounds <= 92
+
+
+def test_no_solve_reaches_a_lapack_routine_beyond_solve_and_det(monkeypatch):
+    # each LAPACK routine numpy loads lifts a fresh process's peak memory
+    # (the first QR by about 0.5 MB), so a solve keeps to the two that
+    # brute force and the simplex already need
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
+
+        return call
+
+    for name in ("qr", "inv", "lstsq", "pinv", "svd", "cholesky", "eig", "eigh"):
+        monkeypatch.setattr(np.linalg, name, forbidden(name))
+    searched = 0
+    for i in range(len(ORACLE_GRID)):
+        for lam_zero in (False, True):
+            spec, _ = _oracle_problem(i, lam_zero)
+            for outer_search in OUTER_SEARCHES:
+                searched += solve_locus(spec, outer_search).iterations > 0
+    for seed in range(12):
+        spec = make_problem(seed=seed, d=5, m=300, lam=0.1)
+        if _offer_halting_point(_CurveEvaluator(spec, search_axis(spec.data)), spec):
+            continue
+        for outer_search in OUTER_SEARCHES:
+            searched += solve_locus(spec, outer_search).iterations > 0
+    assert searched > 0
+    for i in range(0, len(ORACLE_GRID), 40):
+        spec, _ = _oracle_problem(i, False)
+        solve_lp(spec)
+        solve_brute(spec)
+        solve_ccd(spec)
+
+
 @pytest.mark.parametrize("outer_search", OUTER_SEARCHES)
 def test_lambda_zero_with_fewer_rows_than_columns_is_certified(outer_search):
     # every row fits at the optimum, so the simplex's prices scale with
